@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "collective/algo.hpp"
 #include "collective/cost.hpp"
+#include "knobs/knobs.hpp"
 
 namespace col = ca::collective;
 namespace sim = ca::sim;
@@ -139,7 +140,10 @@ int main() {
 
   // The self-checks assert the auto path; a CA_COLLECTIVE_ALGO override would
   // pin every selection, so skip them (still print and record the sweep).
-  const bool env_forced = col::AlgoSelector::env_override().has_value();
+  const bool env_forced =
+      col::AlgoSelector::parse(
+          ca::knobs::resolve(ca::knobs::Knob::kCollectiveAlgo))
+          .has_value();
   if (env_forced)
     std::printf("CA_COLLECTIVE_ALGO is set: selector self-checks skipped\n");
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 
 #include "collective/cost.hpp"
@@ -112,14 +111,6 @@ std::optional<Algo> AlgoSelector::parse(std::string_view name, bool* ok) {
   return std::nullopt;
 }
 
-std::optional<Algo> AlgoSelector::env_override() {
-  static const std::optional<Algo> cached = [] {
-    const char* v = std::getenv("CA_COLLECTIVE_ALGO");
-    return v != nullptr ? parse(v) : std::nullopt;
-  }();
-  return cached;
-}
-
 Algo AlgoSelector::select(Op op, std::int64_t bytes,
                           const sim::Topology& topo,
                           std::span<const int> ranks,
@@ -128,8 +119,8 @@ Algo AlgoSelector::select(Op op, std::int64_t bytes,
   const int group_size = static_cast<int>(ranks.size());
   if (!schedule_selectable(op) || group_size < 2) return Algo::kChunked;
 
-  std::optional<Algo> forced = env_override();
-  if (!forced && policy_ != nullptr) forced = policy_->forced;
+  const std::optional<Algo> forced =
+      policy_ != nullptr ? policy_->forced : std::nullopt;
   if (forced) {
     if (*forced == Algo::kHierarchical && !plan.viable()) return Algo::kChunked;
     return *forced;

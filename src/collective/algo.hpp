@@ -66,8 +66,8 @@ TwoLevelPlan plan_two_level(const sim::Topology& topo,
                             std::span<const int> ranks);
 
 /// Group-external override of the algorithm choice, shared by every group a
-/// Backend creates (the config knob; the CA_COLLECTIVE_ALGO env var wins over
-/// it). nullopt means "auto".
+/// Backend creates: the CA_COLLECTIVE_ALGO / `collective_algo` knob, or an
+/// explicit Backend::set_forced_algo. nullopt means "auto".
 struct AlgoPolicy {
   std::optional<Algo> forced;
 };
@@ -75,11 +75,11 @@ struct AlgoPolicy {
 /// Picks the algorithm for one collective call from (topology, group span,
 /// message bytes). Decision procedure (see DESIGN.md section 6):
 ///
-///   1. CA_COLLECTIVE_ALGO env var, if set and not "auto".
-///   2. AlgoPolicy::forced (the `collective_algo` config field).
-///   3. reducing/broadcast ops with bytes < max(1 KiB, 4*P)  -> kSingleRoot
+///   1. AlgoPolicy::forced, if set (Backend::set_forced_algo, else the
+///      CA_COLLECTIVE_ALGO env var, else the `collective_algo` config field).
+///   2. reducing/broadcast ops with bytes < max(1 KiB, 4*P)  -> kSingleRoot
 ///      (covers the degenerate n < P case: ownership chunks would be empty)
-///   4. otherwise, rank the structurally sensible candidates by modeled
+///   3. otherwise, rank the structurally sensible candidates by modeled
 ///      alpha-beta time (collective_time) and pick the cheapest:
 ///        - kChunked       always a candidate
 ///        - kHierarchical  when the two-level plan is viable and
@@ -103,7 +103,7 @@ class AlgoSelector {
   /// `bytes` are *wire* bytes (element count x wire element width), so the
   /// bandwidth crossovers shift exactly as the message shrinks on a half
   /// wire; `elem_bytes` is the wire element width, needed only for the
-  /// n < P empty-ownership-chunk floor in step 3 (element count = bytes /
+  /// n < P empty-ownership-chunk floor in step 2 (element count = bytes /
   /// elem_bytes, so a 2-byte wire must keep the same *element* floor).
   [[nodiscard]] Algo select(Op op, std::int64_t bytes,
                             const sim::Topology& topo,
@@ -114,9 +114,6 @@ class AlgoSelector {
   /// Parse a knob value; "auto"/"" -> nullopt, unknown -> nullopt with
   /// `ok=false` for callers that want to reject bad config.
   static std::optional<Algo> parse(std::string_view name, bool* ok = nullptr);
-
-  /// The process-wide CA_COLLECTIVE_ALGO override (read once, cached).
-  static std::optional<Algo> env_override();
 
  private:
   const AlgoPolicy* policy_ = nullptr;

@@ -7,6 +7,7 @@
 
 #include "collective/group.hpp"
 #include "collective/p2p.hpp"
+#include "knobs/knobs.hpp"
 
 namespace ca::collective {
 
@@ -18,7 +19,10 @@ namespace ca::collective {
 /// used concurrently from rank threads.
 class Backend {
  public:
+  /// The algorithm policy starts from the CA_COLLECTIVE_ALGO knob.
   explicit Backend(sim::Cluster& cluster) : cluster_(cluster) {
+    policy_.forced = AlgoSelector::parse(
+        knobs::resolve(knobs::Knob::kCollectiveAlgo));
     const int n = cluster.world_size();
     channels_.resize(static_cast<std::size_t>(n) * n);
     std::vector<int> all(static_cast<std::size_t>(n));
@@ -31,9 +35,9 @@ class Backend {
   /// Group containing every rank.
   [[nodiscard]] Group& world() { return *world_; }
 
-  /// Force one collective algorithm for every group of this backend (the
-  /// `collective_algo` config knob; CA_COLLECTIVE_ALGO still wins over it).
-  /// Main-thread only, before the SPMD region. nullopt restores auto-select.
+  /// Force one collective algorithm for every group of this backend; an
+  /// explicit argument, so it beats CA_COLLECTIVE_ALGO. Main-thread only,
+  /// before the SPMD region. nullopt restores auto-select.
   void set_forced_algo(std::optional<Algo> algo) { policy_.forced = algo; }
   [[nodiscard]] const AlgoPolicy& algo_policy() const { return policy_; }
 

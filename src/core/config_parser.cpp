@@ -1,40 +1,100 @@
 #include "core/config_parser.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 
 namespace ca::core {
 
 namespace {
 
-TpMode parse_mode(const std::string& v) {
-  if (v == "1d") return TpMode::k1d;
-  if (v == "2d") return TpMode::k2d;
-  if (v == "2.5d" || v == "2p5d") return TpMode::k2p5d;
-  if (v == "3d") return TpMode::k3d;
-  if (v == "none") return TpMode::kNone;
-  throw std::invalid_argument("unknown tensor mode '" + v + "'");
-}
+using knobs::Knob;
 
-int parse_int(const std::string& key, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const int n = std::stoi(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
+/// Where a configuration knob lives in Config.
+using Field = std::variant<int Config::*, double Config::*,
+                           std::string Config::*, TpMode Config::*>;
+
+/// One entry per knob-table row that has a config key.
+const std::pair<Knob, Field> kFields[] = {
+    {Knob::kData, &Config::data_parallel_size},
+    {Knob::kPipeline, &Config::pipeline_parallel_size},
+    {Knob::kTensorSize, &Config::tensor_parallel_size},
+    {Knob::kTensorMode, &Config::tensor_mode},
+    {Knob::kTensorDepth, &Config::tensor_depth},
+    {Knob::kSequence, &Config::sequence_parallel_size},
+    {Knob::kCollectiveAlgo, &Config::collective_algo},
+    {Knob::kCommDtype, &Config::comm_dtype},
+    {Knob::kPpSchedule, &Config::pp_schedule},
+    {Knob::kSimBackend, &Config::sim_backend},
+    {Knob::kSimWorkers, &Config::sim_workers},
+    {Knob::kMetrics, &Config::metrics},
+    {Knob::kMetricsHistBuckets, &Config::metrics_hist_buckets},
+    {Knob::kCheckpointInterval, &Config::checkpoint_interval},
+    {Knob::kCheckpointDir, &Config::checkpoint_dir},
+    {Knob::kElastic, &Config::elastic},
+    {Knob::kElasticMinWorld, &Config::elastic_min_world},
+    {Knob::kFaultWatchdog, &Config::fault_watchdog},
+};
+
+// Field value <-> checked knob text.
+std::string text(int v) { return std::to_string(v); }
+std::string text(double v) {
+  char buf[32];  // shortest round-trip form
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+std::string text(const std::string& v) { return v; }
+std::string text(TpMode v) { return to_string(v); }
+void set(int& v, const std::string& t) {
+  v = static_cast<int>(knobs::to_int(t).value());
+}
+void set(double& v, const std::string& t) { v = knobs::to_real(t).value(); }
+void set(std::string& v, const std::string& t) { v = t; }
+void set(TpMode& v, const std::string& t) {
+  v = t == "2p5d" ? TpMode::k2p5d : TpMode::kNone;  // the one alias
+  for (TpMode m : {TpMode::k1d, TpMode::k2d, TpMode::k2p5d, TpMode::k3d}) {
+    if (to_string(m) == t) v = m;
   }
 }
 
-/// Strip an optional "parallel." prefix (the paper's full schema path).
-std::string normalize(std::string key) {
-  const std::string prefix = "parallel.";
-  if (key.rfind(prefix, 0) == 0) key = key.substr(prefix.size());
-  return key;
+}  // namespace
+
+knobs::Layer knob_layer(const Config& config) {
+  static const Config defaults;
+  knobs::Layer layer;
+  for (const auto& [knob, field] : kFields) {
+    std::visit([&, knob = knob](auto m) {
+      if (config.*m != defaults.*m) layer[knob] = text(config.*m);
+    }, field);
+  }
+  return layer;
 }
 
-}  // namespace
+void Config::validate() const {
+  // Per-field checks are the knob table's; a default field is unset.
+  for (const auto& [knob, text] : knob_layer(*this)) {
+    knobs::check(knob, knobs::row(knob).keys.at(0), text);
+  }
+  // Cross-field: the mode's topology requirement (2D: j^2 GPUs, 2.5D: d*k^2,
+  // 3D: l^3 — Section 2.2).
+  const int t = tensor_parallel_size;
+  const std::pair<bool, const char*> rules[] = {
+      {t == 1 || sequence_parallel_size == 1,
+       "tensor and sequence parallelism cannot be combined"},
+      {tensor_mode != TpMode::kNone || t == 1,
+       "tensor_parallel_size > 1 requires a tensor mode"},
+      {tensor_mode != TpMode::k2d || exact_sqrt(t) != 0,
+       "2D tensor parallelism requires a square number of GPUs"},
+      {tensor_mode != TpMode::k2p5d ||
+           (t % tensor_depth == 0 && exact_sqrt(t / tensor_depth) != 0),
+       "2.5D tensor parallelism requires d * k^2 GPUs"},
+      {tensor_mode != TpMode::k3d || exact_cbrt(t) != 0,
+       "3D tensor parallelism requires a cubic number of GPUs"},
+  };
+  for (const auto& [ok, msg] : rules) {
+    if (!ok) throw std::invalid_argument(msg);
+  }
+}
 
 Config parse_config(const std::string& text) {
   Config cfg;
@@ -46,56 +106,22 @@ Config parse_config(const std::string& text) {
     if (eq == std::string::npos) {
       throw std::invalid_argument("expected key=value, got '" + token + "'");
     }
-    const std::string key = normalize(token.substr(0, eq));
+    std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-
-    if (key == "data" || key == "data.size") {
-      cfg.data_parallel_size = parse_int(key, value);
-    } else if (key == "pp.schedule" || key == "pipeline.schedule") {
-      cfg.pp_schedule = value;
-    } else if (key == "pipeline" || key == "pipeline.size") {
-      cfg.pipeline_parallel_size = parse_int(key, value);
-    } else if (key == "tensor.size") {
-      cfg.tensor_parallel_size = parse_int(key, value);
-    } else if (key == "tensor.mode") {
-      cfg.tensor_mode = parse_mode(value);
-      mode_given = true;
-    } else if (key == "tensor.depth") {
-      cfg.tensor_depth = parse_int(key, value);
-    } else if (key == "sequence" || key == "sequence.size") {
-      cfg.sequence_parallel_size = parse_int(key, value);
-    } else if (key == "collective_algo" || key == "collective.algo") {
-      cfg.collective_algo = value;
-    } else if (key == "comm_dtype" || key == "comm.dtype") {
-      cfg.comm_dtype = value;
-    } else if (key == "fault.watchdog") {
-      try {
-        std::size_t pos = 0;
-        cfg.fault_watchdog = std::stod(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad number for 'fault.watchdog': '" +
-                                    value + "'");
-      }
-    } else if (key == "sim.backend") {
-      cfg.sim_backend = value;
-    } else if (key == "sim.workers") {
-      cfg.sim_workers = parse_int(key, value);
-    } else if (key == "metrics" || key == "metrics.enabled") {
-      cfg.metrics = value;
-    } else if (key == "metrics.hist_buckets") {
-      cfg.metrics_hist_buckets = parse_int(key, value);
-    } else if (key == "checkpoint.interval") {
-      cfg.checkpoint_interval = parse_int(key, value);
-    } else if (key == "checkpoint.dir") {
-      cfg.checkpoint_dir = value;
-    } else if (key == "elastic" || key == "elastic.enabled") {
-      cfg.elastic = value;
-    } else if (key == "elastic.min_world") {
-      cfg.elastic_min_world = parse_int(key, value);
-    } else {
+    // The paper's full schema path may be spelled out.
+    if (key.starts_with("parallel.")) key.erase(0, 9);
+    const knobs::Row* row = knobs::find_key(key);
+    if (row == nullptr) {
       throw std::invalid_argument("unknown configuration key '" + key + "'");
     }
+    if (value.empty()) continue;  // an empty value is unset, as in the env
+    knobs::check(row->knob, key, value);
+    for (const auto& [knob, field] : kFields) {
+      if (knob == row->knob) {
+        std::visit([&](auto m) { set(cfg.*m, value); }, field);
+      }
+    }
+    mode_given = mode_given || row->knob == Knob::kTensorMode;
   }
   // convenience: a tensor size without a mode defaults to 1D, as Megatron
   // users expect

@@ -1,7 +1,6 @@
 #include "core/context.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -62,27 +61,13 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
   const int pp = config_.pipeline_parallel_size;
   const int dp = config_.data_parallel_size;
 
-  // The config-level algorithm override, shared by every group the backend
-  // creates (validate() already rejected unknown names).
-  backend_.set_forced_algo(
-      collective::AlgoSelector::parse(config_.collective_algo));
-
-  // Wire dtype of the product comm paths: CA_COMM_DTYPE env var wins over
-  // the `comm_dtype` config field (the established env > config knob
-  // precedence; see launch.hpp). Not statically cached — every context
-  // re-reads the environment, so tests can vary it per construction.
-  if (const char* env = std::getenv("CA_COMM_DTYPE");
-      env != nullptr && *env != '\0') {
-    const auto parsed = tensor::parse_dtype(env);
-    if (!parsed) {
-      throw std::invalid_argument("bad CA_COMM_DTYPE '" + std::string(env) +
-                                  "' (want f32|f16|bf16)");
-    }
-    comm_dtype_ = *parsed;
-  } else {
-    // validate() already rejected unknown names.
-    comm_dtype_ = *tensor::parse_dtype(config_.comm_dtype);
-  }
+  // Knobs resolved per context: env > config > default. The algorithm lands
+  // on the backend's policy, shared by every group it creates.
+  const knobs::Layer layer = knob_layer(config_);
+  backend_.set_forced_algo(collective::AlgoSelector::parse(
+      knobs::resolve(knobs::Knob::kCollectiveAlgo, layer)));
+  comm_dtype_ =
+      *tensor::parse_dtype(knobs::resolve(knobs::Knob::kCommDtype, layer));
 
   data_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
   data_node_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);

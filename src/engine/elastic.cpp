@@ -1,7 +1,6 @@
 #include "engine/elastic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -25,30 +24,12 @@ void fault_span(sim::Device& dev, const char* name, double t0, double t1,
 }  // namespace
 
 ElasticOptions ElasticOptions::resolve(const core::Config& config) {
+  using knobs::Knob;
+  const knobs::Layer layer = core::knob_layer(config);
   ElasticOptions o;
-  std::string v = config.elastic;
-  if (const char* e = std::getenv("CA_ELASTIC")) v = e;
-  if (v != "on" && v != "off") {
-    throw std::invalid_argument("CA_ELASTIC: bad value '" + v +
-                                "' (want on|off)");
-  }
-  o.enabled = v == "on";
-  o.min_world = config.elastic_min_world;
-  if (const char* e = std::getenv("CA_ELASTIC_MIN_WORLD")) {
-    std::size_t pos = 0;
-    int n = 0;
-    try {
-      n = std::stoi(e, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != std::string(e).size() || n < 1) {
-      throw std::invalid_argument(
-          std::string("CA_ELASTIC_MIN_WORLD: bad value '") + e +
-          "' (want an integer >= 1)");
-    }
-    o.min_world = n;
-  }
+  o.enabled = knobs::resolve(Knob::kElastic, layer) == "on";
+  o.min_world =
+      static_cast<int>(knobs::resolve_int(Knob::kElasticMinWorld, layer));
   return o;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
+
+#include "knobs/knobs.hpp"
 
 namespace ca::pp {
 
@@ -21,26 +21,22 @@ double bubble_fraction_interleaved(int stages, int micro_batches, int chunks) {
 }
 
 Schedule Pipeline::parse_schedule(std::string_view name) {
-  if (auto s = collective::parse_pipe_sched(name)) return *s;
-  throw std::invalid_argument("unknown pipeline schedule: \"" +
-                              std::string(name) +
-                              "\" (expected fill_drain, 1f1b, interleaved, or "
-                              "zero_bubble)");
+  knobs::check(knobs::Knob::kPpSchedule, "schedule", name);
+  return *collective::parse_pipe_sched(name);
 }
 
 Schedule Pipeline::resolved_schedule(const core::ParallelContext& ctx) {
-  if (const char* env = std::getenv("CA_PP_SCHEDULE")) {
-    return parse_schedule(env);
-  }
-  return parse_schedule(ctx.config().pp_schedule);
+  return parse_schedule(knobs::resolve(knobs::Knob::kPpSchedule,
+                                       core::knob_layer(ctx.config())));
 }
 
 Pipeline::Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,
-                   std::vector<tensor::Shape> input_shapes, Schedule schedule)
+                   std::vector<tensor::Shape> input_shapes,
+                   std::optional<Schedule> schedule)
     : env_(env),
       chunks_(std::move(chunks)),
       input_shapes_(std::move(input_shapes)),
-      schedule_(schedule) {
+      schedule_(schedule ? *schedule : resolved_schedule(env.context())) {
   assert(chunks_.size() == input_shapes_.size() && !chunks_.empty());
   auto& ctx = env_.context();
   stages_ = ctx.config().pipeline_parallel_size;
@@ -63,20 +59,10 @@ Pipeline::Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,
   wire_ = ctx.comm_dtype();
 }
 
-Pipeline::Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,
-                   std::vector<tensor::Shape> input_shapes)
-    : Pipeline(env, std::move(chunks), std::move(input_shapes),
-               resolved_schedule(env.context())) {}
-
 Pipeline::Pipeline(const tp::Env& env, nn::Module& stage,
-                   tensor::Shape input_shape, Schedule schedule)
+                   tensor::Shape input_shape, std::optional<Schedule> schedule)
     : Pipeline(env, std::vector<nn::Module*>{&stage},
                std::vector<tensor::Shape>{std::move(input_shape)}, schedule) {}
-
-Pipeline::Pipeline(const tp::Env& env, nn::Module& stage,
-                   tensor::Shape input_shape)
-    : Pipeline(env, stage, std::move(input_shape),
-               resolved_schedule(env.context())) {}
 
 void Pipeline::reset_step(int micros) {
   micros_ = micros;

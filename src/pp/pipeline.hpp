@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -53,18 +54,15 @@ double bubble_fraction_interleaved(int stages, int micro_batches, int chunks);
 class Pipeline {
  public:
   /// Single chunk per rank; `stage` owns this rank's consecutive layers and
-  /// `input_shape` is the shape of one incoming micro-batch.
+  /// `input_shape` is the shape of one incoming micro-batch. Without a
+  /// `schedule` argument the CA_PP_SCHEDULE knob decides.
   Pipeline(const tp::Env& env, nn::Module& stage, tensor::Shape input_shape,
-           Schedule schedule);
-  /// Knob-resolved schedule: CA_PP_SCHEDULE env var > `pp.schedule` config.
-  Pipeline(const tp::Env& env, nn::Module& stage, tensor::Shape input_shape);
-
+           std::optional<Schedule> schedule = std::nullopt);
   /// `chunks[v]` is this rank's v-th model chunk (virtual stage v*S + s);
   /// `input_shapes[v]` the shape of one incoming micro-batch for that chunk.
   Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,
-           std::vector<tensor::Shape> input_shapes, Schedule schedule);
-  Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,
-           std::vector<tensor::Shape> input_shapes);
+           std::vector<tensor::Shape> input_shapes,
+           std::optional<Schedule> schedule = std::nullopt);
 
   /// Last virtual stage: compute the loss for micro `m` given output `y`,
   /// write dL/dy into `dy` (pre-sized to y's shape), return the loss value.
@@ -92,9 +90,9 @@ class Pipeline {
   }
 
   /// Parse a schedule name ("fill_drain"/"gpipe", "1f1b", "interleaved",
-  /// "zero_bubble"/"zb"); throws std::invalid_argument on anything else.
+  /// "zero_bubble"/"zb"); throws knobs::KnobError on anything else.
   static Schedule parse_schedule(std::string_view name);
-  /// Knob resolution: CA_PP_SCHEDULE env var > cfg.pp_schedule.
+  /// The CA_PP_SCHEDULE / `pp.schedule` knob for `ctx`.
   static Schedule resolved_schedule(const core::ParallelContext& ctx);
 
  private:

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "knobs/knobs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/device.hpp"
@@ -25,7 +26,9 @@ namespace ca::sim {
 /// stranding some ranks at a rendezvous.
 class Cluster {
  public:
-  explicit Cluster(Topology topo);
+  /// The CA_SIM_* and CA_METRICS* knobs resolve at construction, over
+  /// `config` (LaunchedWorld passes its configuration's knobs).
+  explicit Cluster(Topology topo, const knobs::Layer& config = {});
 
   [[nodiscard]] int world_size() const { return static_cast<int>(devices_.size()); }
   [[nodiscard]] Device& device(int rank) { return *devices_.at(static_cast<std::size_t>(rank)); }
@@ -53,17 +56,16 @@ class Cluster {
 
   // ---- execution backend ------------------------------------------------------
 
-  /// Backend run() uses. Initialised from CA_SIM_BACKEND at construction
-  /// (bad values throw std::invalid_argument); defaults to kThreads.
+  /// Backend run() uses. Resolved from CA_SIM_BACKEND / `sim.backend` at
+  /// construction; defaults to kThreads.
   [[nodiscard]] SimBackend backend() const { return backend_; }
   void set_backend(SimBackend b) { backend_ = b; }
   /// Worker threads for the tasks backend; 0 = one per hardware thread,
-  /// clamped to world size. Initialised from CA_SIM_WORKERS.
+  /// clamped to world size. Resolved from CA_SIM_WORKERS / `sim.workers`.
   [[nodiscard]] int workers() const { return workers_; }
   void set_workers(int w) { workers_ = w; }
   /// Per-fiber stack bytes; 0 = scheduler default. From CA_SIM_STACK_KB.
   [[nodiscard]] std::size_t stack_bytes() const { return stack_bytes_; }
-  void set_stack_bytes(std::size_t b) { stack_bytes_ = b; }
 
   /// Max of all device clocks — wall-clock time of the SPMD program.
   [[nodiscard]] double max_clock() const;
@@ -109,10 +111,9 @@ class Cluster {
 
   /// Turn on the per-rank metric registry: creates (or reuses) the
   /// MetricsRegistry and hands each Device its rank sink. Call outside the
-  /// SPMD region. Idempotent. CA_METRICS=on enables this at construction
-  /// (bad values throw std::invalid_argument); CA_METRICS_HIST_BUCKETS sizes
-  /// the histograms, with the `metrics.*` config keys applied by
-  /// LaunchedWorld only where the env is unset.
+  /// SPMD region. Idempotent. CA_METRICS / `metrics` = on enables this at
+  /// construction; CA_METRICS_HIST_BUCKETS / `metrics.hist_buckets` sizes
+  /// the histograms.
   obs::MetricsRegistry& enable_metrics();
   /// Detach all sinks; values collected so far stay readable through
   /// metrics(). The emit points revert to their single disabled-path branch.
@@ -122,7 +123,6 @@ class Cluster {
   /// Histogram bucket count for the next enable_metrics() (existing
   /// registries keep their size).
   [[nodiscard]] int metrics_hist_buckets() const { return hist_buckets_; }
-  void set_metrics_hist_buckets(int buckets) { hist_buckets_ = buckets; }
 
  private:
   Topology topo_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
+#include <climits>
+
+#include "knobs/knobs.hpp"
 
 namespace ca::sim {
 
@@ -19,107 +21,88 @@ double FaultPlan::jitter(std::uint64_t k) const {
 
 namespace {
 
-/// "<rank>@<rest>" -> (rank, rest); throws on malformed input.
-std::pair<int, std::string> split_rank(const std::string& s,
-                                       const char* var) {
-  const auto at = s.find('@');
-  if (at == std::string::npos) {
-    throw std::invalid_argument(std::string(var) + ": expected '<rank>@...', got '" + s + "'");
-  }
-  return {std::stoi(s.substr(0, at)), s.substr(at + 1)};
-}
+/// A CA_FAULT_* spec value "[<rank>@]<f0>[:<f1>...]". A missing or malformed
+/// part rejects the whole value with the knob's accepted form.
+struct Spec {
+  knobs::Knob knob;
+  std::string value;
+  int rank = -1;
+  std::vector<std::string> f = {};  ///< the colon-separated fields
 
-/// Split "a:b[:c]" into doubles.
-std::vector<double> split_scalars(const std::string& s) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto colon = s.find(':', pos);
-    const auto end = colon == std::string::npos ? s.size() : colon;
-    out.push_back(std::stod(s.substr(pos, end - pos)));
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
+  /// A whole-string integer in 0..INT_MAX (rank, step, byte offset).
+  [[nodiscard]] std::int64_t count(std::string_view s) const {
+    const auto v = knobs::to_int(s);
+    if (!v || *v < 0 || *v > INT_MAX) knobs::reject(knob, value);
+    return *v;
   }
-  return out;
-}
+  /// Field i, past `skip` characters, as a finite number (seconds, factor).
+  [[nodiscard]] double real(std::size_t i, std::size_t skip = 0) const {
+    const auto v = knobs::to_real(std::string_view(f[i]).substr(skip));
+    if (!v) knobs::reject(knob, value);
+    return *v;
+  }
+};
 
-const char* env(const char* name) { return std::getenv(name); }
+/// The spec in `k`'s variable, with `n_lo..n_hi` fields; nullopt if unset.
+std::optional<Spec> spec(knobs::Knob k, bool ranked, std::size_t n_lo,
+                         std::size_t n_hi) {
+  const auto v = knobs::env(k);
+  if (!v) return std::nullopt;
+  Spec s{k, *v};
+  std::string_view rest = s.value;
+  if (ranked) {
+    const auto at = rest.find('@');
+    if (at == rest.npos) knobs::reject(k, s.value);
+    s.rank = static_cast<int>(s.count(rest.substr(0, at)));
+    rest.remove_prefix(at + 1);
+  }
+  for (std::size_t pos = 0, colon = 0; colon != rest.npos; pos = colon + 1) {
+    colon = rest.find(':', pos);
+    s.f.emplace_back(rest.substr(pos, colon - pos));
+  }
+  if (s.f.size() < n_lo || s.f.size() > n_hi) knobs::reject(k, s.value);
+  return s;
+}
 
 }  // namespace
 
 std::optional<FaultPlan> FaultPlan::from_env() {
+  using knobs::Knob;
+  const auto set = [](const knobs::Row& r) {
+    return r.env.starts_with("CA_FAULT_") && knobs::env(r.knob).has_value();
+  };
+  if (std::none_of(knobs::table().begin(), knobs::table().end(), set)) {
+    return std::nullopt;
+  }
   FaultPlan plan;
-  bool any = false;
-  if (const char* v = env("CA_FAULT_SEED")) {
-    plan.seed = std::stoull(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_WATCHDOG")) {
-    plan.watchdog = std::stod(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_RETRY_BASE")) {
-    plan.retry_base = std::stod(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_RETRIES")) {
-    plan.max_retries = std::stoi(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_FAILSTOP")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_FAILSTOP");
-    if (!rest.empty() && rest[0] == 't') {
-      plan.fail_stop_at(rank, std::stod(rest.substr(1)));
+  plan.seed = static_cast<std::uint64_t>(knobs::resolve_int(Knob::kFaultSeed));
+  plan.watchdog = knobs::resolve_real(Knob::kFaultWatchdog);
+  plan.retry_base = knobs::resolve_real(Knob::kFaultRetryBase);
+  plan.max_retries = static_cast<int>(knobs::resolve_int(Knob::kFaultRetries));
+  if (const auto s = spec(Knob::kFaultFailstop, true, 1, 1)) {
+    if (s->f[0].starts_with('t')) {
+      plan.fail_stop_at(s->rank, s->real(0, 1));
     } else {
-      plan.fail_stop(rank, std::stoll(rest));
+      plan.fail_stop(s->rank, s->count(s->f[0]));
     }
-    any = true;
   }
-  if (const char* v = env("CA_FAULT_STRAGGLER")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_STRAGGLER");
-    const auto s = split_scalars(rest);
-    if (s.size() != 3) {
-      throw std::invalid_argument(
-          "CA_FAULT_STRAGGLER: expected '<rank>@<from>:<duration>:<factor>'");
-    }
-    plan.straggler(rank, s[0], s[1], s[2]);
-    any = true;
+  if (const auto s = spec(Knob::kFaultStraggler, true, 3, 3)) {
+    plan.straggler(s->rank, s->real(0), s->real(1), s->real(2));
   }
-  if (const char* v = env("CA_FAULT_LINK")) {
-    const auto s = split_scalars(v);
-    if (s.size() != 3) {
-      throw std::invalid_argument(
-          "CA_FAULT_LINK: expected '<from>:<duration>:<factor>'");
-    }
-    plan.degrade_links(s[0], s[1], s[2]);
-    any = true;
+  if (const auto s = spec(Knob::kFaultLink, false, 3, 3)) {
+    plan.degrade_links(s->real(0), s->real(1), s->real(2));
   }
-  if (const char* v = env("CA_FAULT_NAN")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_NAN");
-    plan.corrupt_grads(rank, std::stoll(rest));
-    any = true;
+  if (const auto s = spec(Knob::kFaultNan, true, 1, 1)) {
+    plan.corrupt_grads(s->rank, s->count(s->f[0]));
   }
-  if (const char* v = env("CA_FAULT_TRANSIENT")) {
-    const auto s = split_scalars(v);
-    if (s.size() != 2) {
-      throw std::invalid_argument(
-          "CA_FAULT_TRANSIENT: expected '<from>:<duration>'");
-    }
-    plan.transient_comm(s[0], s[1]);
-    any = true;
+  if (const auto s = spec(Knob::kFaultTransient, false, 2, 2)) {
+    plan.transient_comm(s->real(0), s->real(1));
   }
-  if (const char* v = env("CA_FAULT_CKPT_CORRUPT")) {
-    const auto s = split_scalars(v);
-    if (s.empty() || s.size() > 2) {
-      throw std::invalid_argument(
-          "CA_FAULT_CKPT_CORRUPT: expected '<step>' or '<step>:<offset>'");
-    }
-    plan.corrupt_checkpoint(static_cast<std::int64_t>(s[0]),
-                            s.size() == 2 ? static_cast<std::int64_t>(s[1])
-                                          : -1);
-    any = true;
+  if (const auto s = spec(Knob::kFaultCkptCorrupt, false, 1, 2)) {
+    plan.corrupt_checkpoint(s->count(s->f[0]),
+                            s->f.size() == 2 ? s->count(s->f[1]) : -1);
   }
-  return any ? std::optional<FaultPlan>(std::move(plan)) : std::nullopt;
+  return plan;
 }
 
 // ---- FaultInjector ----------------------------------------------------------

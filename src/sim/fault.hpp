@@ -150,15 +150,9 @@ struct FaultPlan {
   /// reproducible from the seed alone.
   [[nodiscard]] double jitter(std::uint64_t k) const;
 
-  /// Parse the CA_FAULT_* environment: returns nullopt when none is set.
-  ///   CA_FAULT_FAILSTOP  = "<rank>@<step>" or "<rank>@t<clock>"
-  ///   CA_FAULT_STRAGGLER = "<rank>@<from>:<duration>:<factor>"
-  ///   CA_FAULT_LINK      = "<from>:<duration>:<factor>"
-  ///   CA_FAULT_NAN       = "<rank>@<step>"
-  ///   CA_FAULT_TRANSIENT = "<from>:<duration>"
-  ///   CA_FAULT_CKPT_CORRUPT = "<step>" or "<step>:<byte-offset>"
-  ///   CA_FAULT_WATCHDOG / CA_FAULT_RETRY_BASE / CA_FAULT_RETRIES /
-  ///   CA_FAULT_SEED      = scalars
+  /// Build a plan from the CA_FAULT_* knobs; nullopt when none is set. The
+  /// spec grammars (`<rank>@<step>`, `<from>:<duration>:<factor>`, ...) are
+  /// the knob table's forms; a malformed value throws knobs::KnobError.
   static std::optional<FaultPlan> from_env();
 };
 

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "autop/planner.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/elastic.hpp"
@@ -47,17 +48,6 @@ constexpr std::int64_t kHidden = 48;
 constexpr std::uint64_t kSeed = 7;
 constexpr std::int64_t kTotalSteps = 6;
 constexpr std::int64_t kKillStep = 3;
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
-};
 
 /// One TP linear layer driven full-in / full-out on whatever layout the
 /// context carries: the input is sharded per mode, the local output gathered

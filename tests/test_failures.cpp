@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 
+#include "env_guard.hpp"
 #include "collective/p2p.hpp"
 #include "core/launch.hpp"
 #include "core/serialize.hpp"
@@ -57,17 +58,6 @@ struct World {
   sim::Cluster cluster;
   col::Backend backend;
   core::ParallelContext ctx;
-};
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
 };
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "collective/backend.hpp"
 #include "core/launch.hpp"
 #include "data/synthetic.hpp"
@@ -48,17 +49,6 @@ struct World {
   sim::Cluster cluster;
   col::Backend backend;
   core::ParallelContext ctx;
-};
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
 };
 
 std::string slurp(const std::string& path) {

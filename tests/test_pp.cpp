@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "env_guard.hpp"
 #include "collective/cost.hpp"
 #include "nn/layers.hpp"
 #include "pp/pipeline.hpp"
@@ -26,32 +27,6 @@ namespace col = ca::collective;
 namespace tp = ca::tp;
 
 namespace {
-
-/// Save/restore one environment variable around a test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 struct PpWorld {
   explicit PpWorld(int stages, std::string pp_schedule = "1f1b")
@@ -437,12 +412,12 @@ void run_schedule_matrix() {
 }  // namespace
 
 TEST(PipeSchedule, MatrixMatchesSerialOracleThreads) {
-  ScopedEnv backend("CA_SIM_BACKEND", "threads");
+  EnvGuard backend("CA_SIM_BACKEND", "threads");
   run_schedule_matrix();
 }
 
 TEST(PipeSchedule, MatrixMatchesSerialOracleTasks) {
-  ScopedEnv backend("CA_SIM_BACKEND", "tasks");
+  EnvGuard backend("CA_SIM_BACKEND", "tasks");
   run_schedule_matrix();
 }
 
@@ -510,17 +485,17 @@ TEST(PipeSchedule, KnobParsingAndPrecedence) {
   EXPECT_THROW(pp::Pipeline::parse_schedule(""), std::invalid_argument);
 
   {  // config tier: pp.schedule decides when the env var is unset
-    ScopedEnv env("CA_PP_SCHEDULE", nullptr);
+    EnvGuard env("CA_PP_SCHEDULE", nullptr);
     PpWorld w(2, "zero_bubble");
     EXPECT_EQ(pp::Pipeline::resolved_schedule(w.ctx), S::kZeroBubble);
   }
   {  // env tier wins over config
-    ScopedEnv env("CA_PP_SCHEDULE", "fill_drain");
+    EnvGuard env("CA_PP_SCHEDULE", "fill_drain");
     PpWorld w(2, "zero_bubble");
     EXPECT_EQ(pp::Pipeline::resolved_schedule(w.ctx), S::kFillDrain);
   }
   {  // garbage env value throws instead of silently falling back
-    ScopedEnv env("CA_PP_SCHEDULE", "garbage");
+    EnvGuard env("CA_PP_SCHEDULE", "garbage");
     PpWorld w(2);
     EXPECT_THROW(pp::Pipeline::resolved_schedule(w.ctx),
                  std::invalid_argument);
@@ -531,7 +506,7 @@ TEST(PipeSchedule, KnobParsingAndPrecedence) {
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
   }
   {  // the schedule-less Pipeline constructor resolves through the knob
-    ScopedEnv env("CA_PP_SCHEDULE", "interleaved");
+    EnvGuard env("CA_PP_SCHEDULE", "interleaved");
     PpWorld w(1);
     w.cluster.run([&](int g) {
       nn::Linear stage("k", 4, 2, 7);

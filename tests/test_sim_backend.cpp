@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "env_guard.hpp"
 #include "collective/backend.hpp"
 #include "collective/p2p.hpp"
 #include "core/launch.hpp"
@@ -31,32 +32,6 @@ namespace obs = ca::obs;
 namespace sim = ca::sim;
 
 namespace {
-
-/// Save/restore one environment variable around a test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 /// Everything one run observes; compared bitwise between backends.
 struct RunResult {
@@ -335,24 +310,24 @@ TEST(BackendKnobs, ParseAndName) {
 
 TEST(BackendKnobs, ClusterReadsEnvironment) {
   {
-    ScopedEnv be("CA_SIM_BACKEND", "tasks");
-    ScopedEnv wk("CA_SIM_WORKERS", "3");
+    EnvGuard be("CA_SIM_BACKEND", "tasks");
+    EnvGuard wk("CA_SIM_WORKERS", "3");
     sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
     EXPECT_EQ(cluster.backend(), sim::SimBackend::kTasks);
     EXPECT_EQ(cluster.workers(), 3);
   }
   {
-    ScopedEnv be("CA_SIM_BACKEND", nullptr);
+    EnvGuard be("CA_SIM_BACKEND", nullptr);
     sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
     EXPECT_EQ(cluster.backend(), sim::SimBackend::kThreads);  // the default
   }
   {
-    ScopedEnv be("CA_SIM_BACKEND", "green-threads");
+    EnvGuard be("CA_SIM_BACKEND", "green-threads");
     EXPECT_THROW(sim::Cluster cluster(sim::Topology::uniform(2, 100e9)),
                  std::invalid_argument);
   }
   {
-    ScopedEnv wk("CA_SIM_WORKERS", "lots");
+    EnvGuard wk("CA_SIM_WORKERS", "lots");
     EXPECT_THROW(sim::Cluster cluster(sim::Topology::uniform(2, 100e9)),
                  std::invalid_argument);
   }
@@ -360,8 +335,8 @@ TEST(BackendKnobs, ClusterReadsEnvironment) {
 
 TEST(BackendKnobs, ConfigKeysParsedAndEnvWins) {
   {
-    ScopedEnv be("CA_SIM_BACKEND", nullptr);
-    ScopedEnv wk("CA_SIM_WORKERS", nullptr);
+    EnvGuard be("CA_SIM_BACKEND", nullptr);
+    EnvGuard wk("CA_SIM_WORKERS", nullptr);
     auto world = core::launch("data=2 sim.backend=tasks sim.workers=2");
     EXPECT_EQ(world->cluster().backend(), sim::SimBackend::kTasks);
     EXPECT_EQ(world->cluster().workers(), 2);
@@ -372,7 +347,7 @@ TEST(BackendKnobs, ConfigKeysParsedAndEnvWins) {
   }
   {
     // Environment beats the config field.
-    ScopedEnv be("CA_SIM_BACKEND", "threads");
+    EnvGuard be("CA_SIM_BACKEND", "threads");
     auto world = core::launch("data=2 sim.backend=tasks");
     EXPECT_EQ(world->cluster().backend(), sim::SimBackend::kThreads);
   }
