@@ -147,6 +147,26 @@ void write_json_report() {
     report.add("bmm", "8x256x256x256", ns, flops / ns);
   }
 
+  // GEMM under the CPU thread budget: every rank of a threads-backend
+  // Cluster::run multiplies its own 512^3 pair at once, so each gets
+  // max(1, OMP cap / ranks) threads. GFLOP/s is the aggregate over ranks.
+  for (int ranks : {1, 8, 64}) {
+    const std::int64_t n = 512;
+    auto a = t::randn(t::Shape{n, n}, 1);
+    auto b = t::randn(t::Shape{n, n}, 2);
+    ca::sim::Cluster cluster(ca::sim::Topology::uniform(ranks, 100e9));
+    cluster.set_backend(ca::sim::SimBackend::kThreads);
+    const double ns = bench::time_ns([&] {
+      cluster.run([&](int) {
+        auto c = t::matmul(a, b);
+        benchmark::DoNotOptimize(c.data().data());
+      });
+    });
+    const double flops = 2.0 * ranks * static_cast<double>(n) * n * n;
+    report.add("wall_matmul_ranks",
+               "512x512x512 ranks=" + std::to_string(ranks), ns, flops / ns);
+  }
+
   for (int p : {4, 8}) {
     const std::int64_t elems = 1 << 20;
     ca::sim::Cluster cluster(ca::sim::Topology::uniform(p, 100e9));

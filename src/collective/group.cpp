@@ -6,20 +6,24 @@
 #include <utility>
 
 #include "tensor/convert.hpp"
+#include "tensor/parallel.hpp"
 
 namespace ca::collective {
 
 namespace {
-/// Below this many elements a rank-local loop is not worth an OpenMP team.
-constexpr std::int64_t kOmpMinElems = 1 << 16;
+using tensor::grain_for;
+using tensor::kElemGrain;
+using tensor::parallel_for;
+
 /// Cache-friendly block for the reducing actions: the block stays L1-resident
 /// while every member's contribution is added to it.
 constexpr std::int64_t kReduceBlock = 2048;
 
-/// dst[0, n) = src[0, n), OpenMP-parallel for large n.
+/// dst[0, n) = src[0, n), split across the rank's thread budget.
 void copy_elems(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for schedule(static) if (n >= kOmpMinElems)
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
+  parallel_for(n, kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    std::copy(src + lo, src + hi, dst + lo);
+  });
 }
 
 /// dst[0, n) = scale * src[0, n) — the fused copy-out of the reducing
@@ -30,8 +34,10 @@ void copy_elems_scaled(const float* src, float* dst, std::int64_t n,
     copy_elems(src, dst, n);
     return;
   }
-#pragma omp parallel for simd schedule(static) if (n >= kOmpMinElems)
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * scale;
+  parallel_for(n, kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+    for (std::int64_t i = lo; i < hi; ++i) dst[i] = src[i] * scale;
+  });
 }
 
 void scale_inplace(std::span<float> data, float scale) {
@@ -152,23 +158,27 @@ void Group::reduce_members(int slot, std::int64_t src, float* dst,
                            std::int64_t len, float scale) {
   const int p = size();
   const auto& ptrs = ptrs_[slot];
-#pragma omp parallel for schedule(static) if (len >= kOmpMinElems)
-  for (std::int64_t b = 0; b < len; b += kReduceBlock) {
-    const std::int64_t e = std::min(len, b + kReduceBlock);
-    // Member order 0,1,...,p-1 keeps the sum bit-identical to the serial
-    // reference regardless of which rank owns the range or which algorithm
-    // scheduled it.
-    std::copy(ptrs[0] + src + b, ptrs[0] + src + e, dst + b);
-    for (int m = 1; m < p; ++m) {
-      const float* s = ptrs[static_cast<std::size_t>(m)] + src;
+  const std::int64_t blocks = (len + kReduceBlock - 1) / kReduceBlock;
+  parallel_for(blocks, grain_for(p * kReduceBlock),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t blk = lo; blk < hi; ++blk) {
+      const std::int64_t b = blk * kReduceBlock;
+      const std::int64_t e = std::min(len, b + kReduceBlock);
+      // Member order 0,1,...,p-1 keeps the sum bit-identical to the serial
+      // reference regardless of which rank owns the range or which algorithm
+      // scheduled it.
+      std::copy(ptrs[0] + src + b, ptrs[0] + src + e, dst + b);
+      for (int m = 1; m < p; ++m) {
+        const float* s = ptrs[static_cast<std::size_t>(m)] + src;
 #pragma omp simd
-      for (std::int64_t i = b; i < e; ++i) dst[i] += s[i];
-    }
-    if (scale != 1.0f) {
+        for (std::int64_t i = b; i < e; ++i) dst[i] += s[i];
+      }
+      if (scale != 1.0f) {
 #pragma omp simd
-      for (std::int64_t i = b; i < e; ++i) dst[i] *= scale;
+        for (std::int64_t i = b; i < e; ++i) dst[i] *= scale;
+      }
     }
-  }
+  });
 }
 
 double Group::settle(int grank, double t_start, Op op, Algo algo,

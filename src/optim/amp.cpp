@@ -1,33 +1,32 @@
 #include "optim/amp.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 
 #include "tensor/convert.hpp"
 #include "tensor/half.hpp"
+#include "tensor/parallel.hpp"
 
 namespace ca::optim {
 
 namespace t = ca::tensor;
 
-namespace {
-// Below this many elements the omp fork/join overhead exceeds the loop body.
-constexpr std::int64_t kOmpMinElems = 1 << 16;
-}  // namespace
-
 bool LossScaler::has_overflow(const std::vector<nn::Parameter*>& params) {
   for (const nn::Parameter* p : params) {
-    const auto g = p->grad.data();
-    const std::int64_t n = static_cast<std::int64_t>(g.size());
+    const float* g = p->grad.data().data();
     // Branch-free OR-reduction over the finiteness predicate vectorizes and
-    // parallelizes (no early exit, but the scan is memory-bound anyway).
-    int bad = 0;
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static) \
-    reduction(| : bad)
-    for (std::int64_t e = 0; e < n; ++e) {
-      bad |= !std::isfinite(g[static_cast<std::size_t>(e)]);
-    }
-    if (bad != 0) return true;
+    // parallelizes (no early exit, but the scan is memory-bound anyway). OR
+    // is order-free, so the chunks may publish in any order.
+    std::atomic<bool> bad{false};
+    t::parallel_for(p->grad.numel(), t::kElemGrain,
+                    [&](std::int64_t lo, std::int64_t hi) {
+      int chunk_bad = 0;
+#pragma omp simd reduction(| : chunk_bad)
+      for (std::int64_t e = lo; e < hi; ++e) chunk_bad |= !std::isfinite(g[e]);
+      if (chunk_bad != 0) bad.store(true, std::memory_order_relaxed);
+    });
+    if (bad.load(std::memory_order_relaxed)) return true;
   }
   return false;
 }
@@ -48,14 +47,13 @@ bool MixedPrecision::step() {
   if (scaler_.update(overflow)) {
     // unscale into the master grads and step
     for (std::size_t i = 0; i < live_.size(); ++i) {
-      auto src = live_[i]->grad.data();
-      auto dst = masters_[i]->grad.data();
-      const std::int64_t n = static_cast<std::int64_t>(src.size());
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static)
-      for (std::int64_t e = 0; e < n; ++e) {
-        dst[static_cast<std::size_t>(e)] =
-            src[static_cast<std::size_t>(e)] * inv;
-      }
+      const float* src = live_[i]->grad.data().data();
+      float* dst = masters_[i]->grad.data().data();
+      t::parallel_for(live_[i]->grad.numel(), t::kElemGrain,
+                      [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+        for (std::int64_t e = lo; e < hi; ++e) dst[e] = src[e] * inv;
+      });
     }
     inner_->step();
     round_live_to_fp16();

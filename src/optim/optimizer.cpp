@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "core/serialize.hpp"
+#include "tensor/parallel.hpp"
 
 namespace ca::optim {
 
@@ -75,14 +76,16 @@ void Sgd::step() {
       auto pg = p.grad.data();
       auto pvel = velocity_[i].data();
       const float mom = momentum_, lr = lr_;
-      const auto n = static_cast<std::int64_t>(pv.size());
-#pragma omp parallel for simd schedule(static) if (n >= (1 << 14))
-      for (std::int64_t e = 0; e < n; ++e) {
-        const auto ii = static_cast<std::size_t>(e);
-        const float vel = mom * pvel[ii] + pg[ii];
-        pvel[ii] = vel;
-        pv[ii] -= lr * vel;
-      }
+      t::parallel_for(p.value.numel(), t::kElemGrain,
+                      [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+        for (std::int64_t e = lo; e < hi; ++e) {
+          const auto ii = static_cast<std::size_t>(e);
+          const float vel = mom * pvel[ii] + pg[ii];
+          pvel[ii] = vel;
+          pv[ii] -= lr * vel;
+        }
+      });
     }
   }
 }
@@ -115,25 +118,28 @@ void Adam::update_range(std::size_t idx, std::int64_t begin, std::int64_t end) {
   const float b1 = hyper_.beta1, b2 = hyper_.beta2;
   const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
-  // Elementwise-independent, and update_range is only entered from a single
-  // thread (Adam::step / HybridAdam::step), so the team parallelism is safe.
-#pragma omp parallel for simd schedule(static) if (end - begin >= (1 << 14))
-  for (std::int64_t i = begin; i < end; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    float g = pg[ii];
-    if (hyper_.weight_decay != 0.0f && !hyper_.decoupled) {
-      g += hyper_.weight_decay * pv[ii];
+  // Elementwise-independent; a sqrt and two divides make an element worth
+  // about four simple ones.
+  t::parallel_for(end - begin, t::grain_for(4),
+                  [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+    for (std::int64_t i = begin + lo; i < begin + hi; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      float g = pg[ii];
+      if (hyper_.weight_decay != 0.0f && !hyper_.decoupled) {
+        g += hyper_.weight_decay * pv[ii];
+      }
+      pm[ii] = b1 * pm[ii] + (1.0f - b1) * g;
+      pvv[ii] = b2 * pvv[ii] + (1.0f - b2) * g * g;
+      const float mhat = pm[ii] / bc1;
+      const float vhat = pvv[ii] / bc2;
+      float update = mhat / (std::sqrt(vhat) + hyper_.eps);
+      if (hyper_.weight_decay != 0.0f && hyper_.decoupled) {
+        update += hyper_.weight_decay * pv[ii];
+      }
+      pv[ii] -= hyper_.lr * update;
     }
-    pm[ii] = b1 * pm[ii] + (1.0f - b1) * g;
-    pvv[ii] = b2 * pvv[ii] + (1.0f - b2) * g * g;
-    const float mhat = pm[ii] / bc1;
-    const float vhat = pvv[ii] / bc2;
-    float update = mhat / (std::sqrt(vhat) + hyper_.eps);
-    if (hyper_.weight_decay != 0.0f && hyper_.decoupled) {
-      update += hyper_.weight_decay * pv[ii];
-    }
-    pv[ii] -= hyper_.lr * update;
-  }
+  });
 }
 
 void Adam::step() {

@@ -7,6 +7,8 @@
 #include <string>
 #include <thread>
 
+#include "tensor/parallel.hpp"
+
 namespace ca::sim {
 
 Cluster::Cluster(Topology topo, const knobs::Layer& config)
@@ -34,11 +36,20 @@ void Cluster::run(const std::function<void(int)>& fn) {
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
   std::vector<std::int64_t> error_order(static_cast<std::size_t>(n), -1);
   std::atomic<std::int64_t> next_error{0};
+  // The CPU thread budget: the caller's cap split evenly over the ranks that
+  // run at once (every rank thread, or every fiber worker), so concurrent
+  // ranks do not oversubscribe the cores. The team size is per OS thread,
+  // so each rank sets its own and the caller keeps its full team.
+  const int runnable = backend_ == SimBackend::kTasks
+                           ? TaskScheduler::worker_count(workers_, n)
+                           : std::max(1, n);
+  const int team = std::max(1, tensor::thread_budget() / runnable);
   // One body for both backends: run the rank, and on any escape record the
   // exception in arrival order (the root cause strictly precedes the
   // survivors' watchdog timeouts it triggers), then abort the region so no
   // peer stays blocked on a rendezvous with this rank.
   const auto body = [&](int r) {
+    tensor::set_thread_budget(team);
     try {
       fn(r);
     } catch (...) {

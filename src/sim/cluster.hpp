@@ -52,6 +52,11 @@ class Cluster {
   /// after all ranks finish. A throwing rank aborts the region through
   /// fault_state(), which cancels every rendezvous the peers are blocked on
   /// (they unwind with CommTimeoutError instead of deadlocking).
+  ///
+  /// run owns the CPU thread budget: every rank's kernels get an OpenMP team
+  /// of max(1, caller's team / runnable ranks), where runnable is the world
+  /// size (kThreads) or the worker count (kTasks). The caller's team is left
+  /// as it was.
   void run(const std::function<void(int)>& fn);
 
   // ---- execution backend ------------------------------------------------------

@@ -314,17 +314,20 @@ void TaskScheduler::run(int n, const std::function<void(int)>& body,
                         const std::function<const double*(int)>& clock_of,
                         const Options& opts) {
   if (n <= 0) return;
-  int workers = opts.workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 1;
-  }
-  workers = std::min(workers, n);
+  const int workers = worker_count(opts.workers, n);
   std::size_t stack =
       opts.stack_bytes > 0 ? opts.stack_bytes : detail::kDefaultStackBytes;
   if (stack < detail::kMinStackBytes) stack = detail::kMinStackBytes;
   detail::Pool pool(workers, stack);
   pool.run(n, body, clock_of);
+}
+
+int TaskScheduler::worker_count(int requested, int n) {
+  int workers = requested;
+  if (workers <= 0) {
+    workers = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  return std::clamp(workers, 1, std::max(1, n));
 }
 
 bool TaskScheduler::on_fiber() { return detail::tls_fiber() != nullptr; }

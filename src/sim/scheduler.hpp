@@ -74,6 +74,10 @@ class TaskScheduler {
                   const std::function<const double*(int)>& clock_of,
                   const Options& opts);
 
+  /// Worker threads `run` starts for `n` ranks: `requested`, or one per
+  /// hardware thread when it is <= 0, clamped to [1, n].
+  [[nodiscard]] static int worker_count(int requested, int n);
+
   /// True when the calling code is executing on a scheduler fiber (and must
   /// therefore yield instead of blocking the OS thread).
   [[nodiscard]] static bool on_fiber();

@@ -4,24 +4,22 @@
 #include <cstring>
 
 #include "tensor/half.hpp"
+#include "tensor/parallel.hpp"
 
 namespace ca::tensor {
-namespace {
-
-// Below this element count the omp fork/join overhead outweighs the convert
-// work (same threshold as the elementwise kernels in ops.cpp).
-constexpr std::int64_t kOmpMinElems = 1 << 16;
-
-}  // namespace
 
 void round_trip_f16(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = fp16_round_trip(src[i]);
+  parallel_for(n, kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+    for (std::int64_t i = lo; i < hi; ++i) dst[i] = fp16_round_trip(src[i]);
+  });
 }
 
 void round_trip_bf16(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = bf16_round_trip(src[i]);
+  parallel_for(n, kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
+    for (std::int64_t i = lo; i < hi; ++i) dst[i] = bf16_round_trip(src[i]);
+  });
 }
 
 void wire_round_trip(Dtype wire, const float* src, float* dst, std::int64_t n) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "tensor/parallel.hpp"
+
 namespace ca::tensor::detail {
 
 namespace {
@@ -82,9 +84,10 @@ std::vector<float>& apack_buffer() {
 void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* a, std::int64_t a_rs, std::int64_t a_cs,
                   const float* b, std::int64_t b_rs, std::int64_t b_cs,
-                  float* c, bool threaded) {
+                  float* c) {
   if (m <= 0 || n <= 0 || k <= 0) return;
 
+  const std::int64_t row_blocks = (m + kMc - 1) / kMc;
   const std::int64_t nc_max = std::min(n, kNc);
   std::vector<float> bpack(
       static_cast<std::size_t>(round_up(nc_max, kNr) * std::min(k, kKc)));
@@ -95,30 +98,33 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
       const std::int64_t kc = std::min(kKc, k - pc);
       pack_b(b + pc * b_rs + jc * b_cs, b_rs, b_cs, kc, nc, bpack.data());
 
-#pragma omp parallel for schedule(static) if (threaded && m > kMc)
-      for (std::int64_t ic = 0; ic < m; ic += kMc) {
-        const std::int64_t mc = std::min(kMc, m - ic);
-        auto& apack = apack_buffer();
-        apack.resize(static_cast<std::size_t>(round_up(mc, kMr) * kc));
-        pack_a(a + ic * a_rs + pc * a_cs, a_rs, a_cs, mc, kc, apack.data());
+      // Row blocks are independent; each is one thread's unit of work.
+      parallel_for(row_blocks, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t blk = lo; blk < hi; ++blk) {
+          const std::int64_t ic = blk * kMc;
+          const std::int64_t mc = std::min(kMc, m - ic);
+          auto& apack = apack_buffer();
+          apack.resize(static_cast<std::size_t>(round_up(mc, kMr) * kc));
+          pack_a(a + ic * a_rs + pc * a_cs, a_rs, a_cs, mc, kc, apack.data());
 
-        for (std::int64_t j0 = 0; j0 < nc; j0 += kNr) {
-          const std::int64_t nr = std::min(kNr, nc - j0);
-          const float* bpanel = bpack.data() + (j0 / kNr) * kc * kNr;
-          for (std::int64_t i0 = 0; i0 < mc; i0 += kMr) {
-            const std::int64_t mr = std::min(kMr, mc - i0);
-            const float* apanel = apack.data() + (i0 / kMr) * kc * kMr;
-            float acc[kMr * kNr] = {};
-            micro_kernel(kc, apanel, bpanel, acc);
-            for (std::int64_t r = 0; r < mr; ++r) {
-              float* crow = c + (ic + i0 + r) * n + jc + j0;
-              const float* arow = acc + r * kNr;
+          for (std::int64_t j0 = 0; j0 < nc; j0 += kNr) {
+            const std::int64_t nr = std::min(kNr, nc - j0);
+            const float* bpanel = bpack.data() + (j0 / kNr) * kc * kNr;
+            for (std::int64_t i0 = 0; i0 < mc; i0 += kMr) {
+              const std::int64_t mr = std::min(kMr, mc - i0);
+              const float* apanel = apack.data() + (i0 / kMr) * kc * kMr;
+              float acc[kMr * kNr] = {};
+              micro_kernel(kc, apanel, bpanel, acc);
+              for (std::int64_t r = 0; r < mr; ++r) {
+                float* crow = c + (ic + i0 + r) * n + jc + j0;
+                const float* arow = acc + r * kNr;
 #pragma omp simd
-              for (std::int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
+                for (std::int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
+              }
             }
           }
         }
-      }
+      });
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "tensor/gemm.hpp"
+#include "tensor/parallel.hpp"
 
 namespace ca::tensor {
 
@@ -70,11 +71,12 @@ template <class F>
 Tensor binary_op(const Tensor& a, const Tensor& b, F f) {
   assert(a.shape() == b.shape());
   Tensor out(a.shape());
-  auto pa = a.data(), pb = b.data();
-  auto po = out.data();
-  const std::size_t n = pa.size();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
+  const float* pa = a.data().data();
+  const float* pb = b.data().data();
+  float* po = out.data().data();
+  parallel_for(a.numel(), kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
+  });
   return out;
 }
 }  // namespace
@@ -91,9 +93,10 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 Tensor add_scalar(const Tensor& a, float s) {
   Tensor out = a.clone();
-  auto po = out.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < po.size(); ++i) po[i] += s;
+  float* po = out.data().data();
+  parallel_for(out.numel(), kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) po[i] += s;
+  });
   return out;
 }
 
@@ -105,24 +108,27 @@ Tensor mul_scalar(const Tensor& a, float s) {
 
 void add_(Tensor& a, const Tensor& b) {
   assert(a.shape().numel() == b.shape().numel());
-  auto pa = a.data();
-  auto pb = b.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < pa.size(); ++i) pa[i] += pb[i];
+  float* pa = a.data().data();
+  const float* pb = b.data().data();
+  parallel_for(a.numel(), kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) pa[i] += pb[i];
+  });
 }
 
 void axpy_(Tensor& a, float alpha, const Tensor& x) {
   assert(a.numel() == x.numel());
-  auto pa = a.data();
-  auto px = x.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < pa.size(); ++i) pa[i] += alpha * px[i];
+  float* pa = a.data().data();
+  const float* px = x.data().data();
+  parallel_for(a.numel(), kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) pa[i] += alpha * px[i];
+  });
 }
 
 void scale_(Tensor& a, float s) {
-  auto pa = a.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < pa.size(); ++i) pa[i] *= s;
+  float* pa = a.data().data();
+  parallel_for(a.numel(), kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) pa[i] *= s;
+  });
 }
 
 Tensor add_bias(const Tensor& a, const Tensor& bias) {
@@ -134,14 +140,15 @@ Tensor add_bias(const Tensor& a, const Tensor& bias) {
 void add_bias_(Tensor& a, const Tensor& bias) {
   const std::int64_t n = a.dim(-1);
   assert(bias.numel() == n);
-  auto pa = a.data();
-  auto pb = bias.data();
+  float* pa = a.data().data();
+  const float* pb = bias.data().data();
   const std::int64_t rows = a.numel() / n;
-#pragma omp parallel for schedule(static)
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = pa.data() + r * n;
-    for (std::int64_t c = 0; c < n; ++c) row[c] += pb[static_cast<std::size_t>(c)];
-  }
+  parallel_for(rows, grain_for(n), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      float* row = pa + r * n;
+      for (std::int64_t c = 0; c < n; ++c) row[c] += pb[c];
+    }
+  });
 }
 
 // ---- matmul --------------------------------------------------------------------
@@ -164,16 +171,17 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    const float* arow = pa + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+  parallel_for(m, grain_for(n * k), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      float* orow = po + i * n;
+      const float* arow = pa + i * k;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = arow[kk];
+        const float* brow = pb + kk * n;
+        for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
     }
-  }
+  });
   return out;
 }
 
@@ -187,15 +195,16 @@ Tensor naive_matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = pa[kk * m + i];
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+  parallel_for(m, grain_for(n * k), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      float* orow = po + i * n;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = pa[kk * m + i];
+        const float* brow = pb + kk * n;
+        for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
     }
-  }
+  });
   return out;
 }
 
@@ -210,17 +219,18 @@ Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* orow = po + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      orow[j] = acc;
+  parallel_for(m, grain_for(n * k), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const float* arow = pa + i * k;
+      float* orow = po + i * n;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float* brow = pb + j * k;
+        float acc = 0.0f;
+        for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+        orow[j] = acc;
+      }
     }
-  }
+  });
   return out;
 }
 
@@ -234,7 +244,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
   Tensor out(a.shape().with_dim(-1, n), 0.0f);
   detail::gemm_blocked(m, n, k, a.data().data(), k, 1, b.data().data(), n, 1,
-                       out.data().data(), /*threaded=*/true);
+                       out.data().data());
   return out;
 }
 
@@ -247,7 +257,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
 
   Tensor out(Shape{m, n}, 0.0f);
   detail::gemm_blocked(m, n, k, a.data().data(), 1, m, b.data().data(), n, 1,
-                       out.data().data(), /*threaded=*/true);
+                       out.data().data());
   return out;
 }
 
@@ -261,7 +271,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 
   Tensor out(a.shape().with_dim(-1, n), 0.0f);
   detail::gemm_blocked(m, n, k, a.data().data(), k, 1, b.data().data(), 1, k,
-                       out.data().data(), /*threaded=*/true);
+                       out.data().data());
   return out;
 }
 
@@ -300,42 +310,47 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
     std::int64_t a_rs = k, a_cs = 1, b_rs = n, b_cs = 1;
     if (mode == BmmMode::TN) a_rs = 1, a_cs = m;
     if (mode == BmmMode::NT) b_rs = 1, b_cs = k;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t bt = 0; bt < batch; ++bt) {
-      detail::gemm_blocked(m, n, k, pa + bt * a_sz, a_rs, a_cs, pb + bt * b_sz,
-                           b_rs, b_cs, po + bt * m * n, /*threaded=*/false);
-    }
+    // Each batch GEMM is at least the blocked cutoff, so one is worth a
+    // thread; inside the team the kernel's own row-block loop runs serial.
+    parallel_for(batch, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t bt = lo; bt < hi; ++bt) {
+        detail::gemm_blocked(m, n, k, pa + bt * a_sz, a_rs, a_cs,
+                             pb + bt * b_sz, b_rs, b_cs, po + bt * m * n);
+      }
+    });
     return out;
   }
 
-#pragma omp parallel for schedule(static)
-  for (std::int64_t bt = 0; bt < batch; ++bt) {
-    const float* A = pa + bt * a_sz;
-    const float* B = pb + bt * b_sz;
-    float* O = po + bt * m * n;
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float av = 0.0f;
-        switch (mode) {
-          case BmmMode::NN:
-          case BmmMode::NT:
-            av = A[i * k + kk];
-            break;
-          case BmmMode::TN:
-            av = A[kk * m + i];
-            break;
-        }
-        float* orow = O + i * n;
-        if (mode == BmmMode::NT) {
-          // B is (n, k): column kk of B^T is strided.
-          for (std::int64_t j = 0; j < n; ++j) orow[j] += av * B[j * k + kk];
-        } else {
-          const float* brow = B + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+  parallel_for(batch, grain_for(m * n * k),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t bt = lo; bt < hi; ++bt) {
+      const float* A = pa + bt * a_sz;
+      const float* B = pb + bt * b_sz;
+      float* O = po + bt * m * n;
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          float av = 0.0f;
+          switch (mode) {
+            case BmmMode::NN:
+            case BmmMode::NT:
+              av = A[i * k + kk];
+              break;
+            case BmmMode::TN:
+              av = A[kk * m + i];
+              break;
+          }
+          float* orow = O + i * n;
+          if (mode == BmmMode::NT) {
+            // B is (n, k): column kk of B^T is strided.
+            for (std::int64_t j = 0; j < n; ++j) orow[j] += av * B[j * k + kk];
+          } else {
+            const float* brow = B + kk * n;
+            for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+          }
         }
       }
     }
-  }
+  });
   return out;
 }
 }  // namespace
@@ -408,30 +423,31 @@ Tensor softmax_lastdim_scaled(const Tensor& a, float scale) {
   Tensor out(a.shape());
   auto pa = a.data();
   auto po = out.data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* x = pa.data() + r * n;
-    float* y = po.data() + r * n;
-    // Online max+sum (Milakov & Gimelshein): one read sweep maintains the
-    // running max and the exp-sum rescaled to it, replacing the separate
-    // max / exp+sum sweeps; the attention score scale is fused into the
-    // loads so callers skip their own scale_ pass over the row.
-    float mx = x[0] * scale;
-    float sum = 1.0f;
-    for (std::int64_t i = 1; i < n; ++i) {
-      const float v = x[i] * scale;
-      if (v > mx) {
-        sum = sum * std::exp(mx - v) + 1.0f;
-        mx = v;
-      } else {
-        sum += std::exp(v - mx);
+  parallel_for(rows, grain_for(n), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      const float* x = pa.data() + r * n;
+      float* y = po.data() + r * n;
+      // Online max+sum (Milakov & Gimelshein): one read sweep maintains the
+      // running max and the exp-sum rescaled to it, replacing the separate
+      // max / exp+sum sweeps; the attention score scale is fused into the
+      // loads so callers skip their own scale_ pass over the row.
+      float mx = x[0] * scale;
+      float sum = 1.0f;
+      for (std::int64_t i = 1; i < n; ++i) {
+        const float v = x[i] * scale;
+        if (v > mx) {
+          sum = sum * std::exp(mx - v) + 1.0f;
+          mx = v;
+        } else {
+          sum += std::exp(v - mx);
+        }
       }
-    }
-    const float inv = 1.0f / sum;
+      const float inv = 1.0f / sum;
 #pragma omp simd
-    for (std::int64_t i = 0; i < n; ++i)
-      y[i] = std::exp(x[i] * scale - mx) * inv;
-  }
+      for (std::int64_t i = 0; i < n; ++i)
+        y[i] = std::exp(x[i] * scale - mx) * inv;
+    }
+  });
   return out;
 }
 
@@ -447,18 +463,19 @@ Tensor softmax_backward_scaled(const Tensor& y, const Tensor& dy, float scale) {
   auto py = y.data();
   auto pdy = dy.data();
   auto pdx = dx.data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* yr = py.data() + r * n;
-    const float* dyr = pdy.data() + r * n;
-    float* dxr = pdx.data() + r * n;
-    float dot = 0.0f;
+  parallel_for(rows, grain_for(n), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      const float* yr = py.data() + r * n;
+      const float* dyr = pdy.data() + r * n;
+      float* dxr = pdx.data() + r * n;
+      float dot = 0.0f;
 #pragma omp simd reduction(+ : dot)
-    for (std::int64_t i = 0; i < n; ++i) dot += yr[i] * dyr[i];
+      for (std::int64_t i = 0; i < n; ++i) dot += yr[i] * dyr[i];
 #pragma omp simd
-    for (std::int64_t i = 0; i < n; ++i)
-      dxr[i] = yr[i] * (dyr[i] - dot) * scale;
-  }
+      for (std::int64_t i = 0; i < n; ++i)
+        dxr[i] = yr[i] * (dyr[i] - dot) * scale;
+    }
+  });
   return dx;
 }
 
@@ -509,35 +526,42 @@ Tensor naive_softmax_backward(const Tensor& y, const Tensor& dy) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+// A tanh costs about this many simple elementwise ops (the parallel grain).
+constexpr std::int64_t kGeluWork = 8;
 }
 
 Tensor gelu(const Tensor& x) {
   Tensor out(x.shape());
-  auto px = x.data();
-  auto po = out.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    const float v = px[i];
-    po[i] = 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
-  }
+  const float* px = x.data().data();
+  float* po = out.data().data();
+  parallel_for(x.numel(), grain_for(kGeluWork),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const float v = px[i];
+      po[i] =
+          0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
+    }
+  });
   return out;
 }
 
 Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   assert(x.shape() == dy.shape());
   Tensor dx(x.shape());
-  auto px = x.data();
-  auto pdy = dy.data();
-  auto pdx = dx.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    const float v = px[i];
-    const float u = kGeluC * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(u);
-    const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-    const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-    pdx[i] = pdy[i] * grad;
-  }
+  const float* px = x.data().data();
+  const float* pdy = dy.data().data();
+  float* pdx = dx.data().data();
+  parallel_for(x.numel(), grain_for(kGeluWork),
+               [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const float v = px[i];
+      const float u = kGeluC * (v + 0.044715f * v * v * v);
+      const float t = std::tanh(u);
+      const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
+      const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+      pdx[i] = pdy[i] * grad;
+    }
+  });
   return dx;
 }
 
@@ -574,32 +598,33 @@ Tensor layernorm_forward(const Tensor& x, const Tensor& gamma,
   auto pm = mean.data();
   auto pr = rstd.data();
   auto py = y.data();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = px.data() + r * h;
-    float* yr = py.data() + r * h;
-    // Fused single read sweep: sum and sum-of-squares together (double
-    // accumulators keep var = E[x^2] - mu^2 cancellation-safe for fp32
-    // inputs), halving the reduction traffic of the two-pass version.
-    double sum = 0.0, sumsq = 0.0;
+  parallel_for(rows, grain_for(h), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      const float* xr = px.data() + r * h;
+      float* yr = py.data() + r * h;
+      // Fused single read sweep: sum and sum-of-squares together (double
+      // accumulators keep var = E[x^2] - mu^2 cancellation-safe for fp32
+      // inputs), halving the reduction traffic of the two-pass version.
+      double sum = 0.0, sumsq = 0.0;
 #pragma omp simd reduction(+ : sum, sumsq)
-    for (std::int64_t i = 0; i < h; ++i) {
-      const double v = xr[i];
-      sum += v;
-      sumsq += v * v;
-    }
-    const double mu = sum / static_cast<double>(h);
-    const double var =
-        std::max(0.0, sumsq / static_cast<double>(h) - mu * mu);
-    const float rs = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    const float muf = static_cast<float>(mu);
-    pm[static_cast<std::size_t>(r)] = muf;
-    pr[static_cast<std::size_t>(r)] = rs;
+      for (std::int64_t i = 0; i < h; ++i) {
+        const double v = xr[i];
+        sum += v;
+        sumsq += v * v;
+      }
+      const double mu = sum / static_cast<double>(h);
+      const double var =
+          std::max(0.0, sumsq / static_cast<double>(h) - mu * mu);
+      const float rs = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+      const float muf = static_cast<float>(mu);
+      pm[static_cast<std::size_t>(r)] = muf;
+      pr[static_cast<std::size_t>(r)] = rs;
 #pragma omp simd
-    for (std::int64_t i = 0; i < h; ++i)
-      yr[i] = (xr[i] - muf) * rs * pg[static_cast<std::size_t>(i)] +
-              pb[static_cast<std::size_t>(i)];
-  }
+      for (std::int64_t i = 0; i < h; ++i)
+        yr[i] = (xr[i] - muf) * rs * pg[static_cast<std::size_t>(i)] +
+                pb[static_cast<std::size_t>(i)];
+    }
+  });
   return y;
 }
 
@@ -656,48 +681,51 @@ Tensor layernorm_backward(const Tensor& x, const Tensor& dy,
   auto pdg = dgamma.data();
   auto pdb = dbeta.data();
   // dx rows are independent — parallelize over rows.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* xr = px.data() + r * h;
-    const float* dyr = pdy.data() + r * h;
-    float* dxr = pdx.data() + r * h;
-    const float mu = pm[static_cast<std::size_t>(r)];
-    const float rs = pr[static_cast<std::size_t>(r)];
-    // xhat = (x - mu) * rs ; dy_hat = dy * gamma
-    float sum_dyhat = 0.0f, sum_dyhat_xhat = 0.0f;
+  parallel_for(rows, grain_for(h), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      const float* xr = px.data() + r * h;
+      const float* dyr = pdy.data() + r * h;
+      float* dxr = pdx.data() + r * h;
+      const float mu = pm[static_cast<std::size_t>(r)];
+      const float rs = pr[static_cast<std::size_t>(r)];
+      // xhat = (x - mu) * rs ; dy_hat = dy * gamma
+      float sum_dyhat = 0.0f, sum_dyhat_xhat = 0.0f;
 #pragma omp simd reduction(+ : sum_dyhat, sum_dyhat_xhat)
-    for (std::int64_t i = 0; i < h; ++i) {
-      const float xhat = (xr[i] - mu) * rs;
-      const float dyhat = dyr[i] * pg[static_cast<std::size_t>(i)];
-      sum_dyhat += dyhat;
-      sum_dyhat_xhat += dyhat * xhat;
-    }
-    const float inv_h = 1.0f / static_cast<float>(h);
+      for (std::int64_t i = 0; i < h; ++i) {
+        const float xhat = (xr[i] - mu) * rs;
+        const float dyhat = dyr[i] * pg[static_cast<std::size_t>(i)];
+        sum_dyhat += dyhat;
+        sum_dyhat_xhat += dyhat * xhat;
+      }
+      const float inv_h = 1.0f / static_cast<float>(h);
 #pragma omp simd
-    for (std::int64_t i = 0; i < h; ++i) {
-      const float xhat = (xr[i] - mu) * rs;
-      const float dyhat = dyr[i] * pg[static_cast<std::size_t>(i)];
-      dxr[i] = rs * (dyhat - inv_h * sum_dyhat - xhat * inv_h * sum_dyhat_xhat);
+      for (std::int64_t i = 0; i < h; ++i) {
+        const float xhat = (xr[i] - mu) * rs;
+        const float dyhat = dyr[i] * pg[static_cast<std::size_t>(i)];
+        dxr[i] =
+            rs * (dyhat - inv_h * sum_dyhat - xhat * inv_h * sum_dyhat_xhat);
+      }
     }
-  }
+  });
   // dgamma/dbeta are per-column sums over rows — parallelize over columns
   // (race-free: each thread owns a disjoint set of columns). Per-column
   // double partials accumulate in ascending-row order, then one float add
   // preserves the grad-accumulation contract (+= into caller buffers).
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < h; ++i) {
-    double dg = 0.0, db = 0.0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float xv = px[static_cast<std::size_t>(r * h + i)];
-      const float dyv = pdy[static_cast<std::size_t>(r * h + i)];
-      const float xhat = (xv - pm[static_cast<std::size_t>(r)]) *
-                         pr[static_cast<std::size_t>(r)];
-      dg += static_cast<double>(dyv) * xhat;
-      db += dyv;
+  parallel_for(h, grain_for(rows), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      double dg = 0.0, db = 0.0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float xv = px[static_cast<std::size_t>(r * h + i)];
+        const float dyv = pdy[static_cast<std::size_t>(r * h + i)];
+        const float xhat = (xv - pm[static_cast<std::size_t>(r)]) *
+                           pr[static_cast<std::size_t>(r)];
+        dg += static_cast<double>(dyv) * xhat;
+        db += dyv;
+      }
+      pdg[static_cast<std::size_t>(i)] += static_cast<float>(dg);
+      pdb[static_cast<std::size_t>(i)] += static_cast<float>(db);
     }
-    pdg[static_cast<std::size_t>(i)] += static_cast<float>(dg);
-    pdb[static_cast<std::size_t>(i)] += static_cast<float>(db);
-  }
+  });
   return dx;
 }
 
@@ -742,6 +770,11 @@ Tensor naive_layernorm_backward(const Tensor& x, const Tensor& dy,
   return dx;
 }
 
+namespace {
+/// Rows per cross_entropy loss partial: fixed, so the fold order is too.
+constexpr std::int64_t kLossBlockRows = 16;
+}  // namespace
+
 float cross_entropy(const Tensor& logits, std::span<const std::int64_t> labels,
                     Tensor& dlogits) {
   assert(logits.ndim() == 2);
@@ -750,30 +783,43 @@ float cross_entropy(const Tensor& logits, std::span<const std::int64_t> labels,
   if (dlogits.shape() != logits.shape()) dlogits = Tensor(logits.shape());
   auto pd = dlogits.data();
   auto pl = logits.data();
-  double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
+  // The loss is summed per fixed block of kLossBlockRows rows, and the block
+  // partials are folded in ascending order below, so the result does not
+  // depend on how many threads shared the blocks.
+  const std::int64_t nblocks = (n + kLossBlockRows - 1) / kLossBlockRows;
+  std::vector<double> partial(static_cast<std::size_t>(nblocks), 0.0);
   // Single pass per row: the exponentials written into dlogits and their
   // max/denominator serve both the loss (log-softmax of the true class) and
   // the gradient, with the softmax normalization and the 1/n batch scaling
   // fused into one sweep.
-#pragma omp parallel for schedule(static) reduction(+ : loss)
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::int64_t y = labels[static_cast<std::size_t>(r)];
-    assert(y >= 0 && y < c);
-    const float* row = pl.data() + r * c;
-    float* g = pd.data() + r * c;
-    float mx = row[0];
-    for (std::int64_t i = 1; i < c; ++i) mx = std::max(mx, row[i]);
-    double denom = 0.0;
-    for (std::int64_t i = 0; i < c; ++i) {
-      g[i] = std::exp(row[i] - mx);
-      denom += static_cast<double>(g[i]);
+  parallel_for(nblocks, grain_for(kLossBlockRows * c),
+               [&](std::int64_t blo, std::int64_t bhi) {
+    for (std::int64_t b = blo; b < bhi; ++b) {
+      double loss = 0.0;
+      for (std::int64_t r = b * kLossBlockRows;
+           r < std::min(n, (b + 1) * kLossBlockRows); ++r) {
+        const std::int64_t y = labels[static_cast<std::size_t>(r)];
+        assert(y >= 0 && y < c);
+        const float* row = pl.data() + r * c;
+        float* g = pd.data() + r * c;
+        float mx = row[0];
+        for (std::int64_t i = 1; i < c; ++i) mx = std::max(mx, row[i]);
+        double denom = 0.0;
+        for (std::int64_t i = 0; i < c; ++i) {
+          g[i] = std::exp(row[i] - mx);
+          denom += static_cast<double>(g[i]);
+        }
+        loss -= static_cast<double>(row[y] - mx) - std::log(denom);
+        const float inv = inv_n / static_cast<float>(denom);
+        for (std::int64_t i = 0; i < c; ++i) g[i] *= inv;
+        g[y] -= inv_n;
+      }
+      partial[static_cast<std::size_t>(b)] = loss;
     }
-    loss -= static_cast<double>(row[y] - mx) - std::log(denom);
-    const float inv = inv_n / static_cast<float>(denom);
-    for (std::int64_t i = 0; i < c; ++i) g[i] *= inv;
-    g[y] -= inv_n;
-  }
+  });
+  double loss = 0.0;
+  for (const double v : partial) loss += v;
   return static_cast<float>(loss / static_cast<double>(n));
 }
 

@@ -48,7 +48,7 @@ t::Tensor blocked_nn(const t::Tensor& a, const t::Tensor& b) {
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   t::Tensor out(t::Shape{m, n}, 0.0f);
   t::detail::gemm_blocked(m, n, k, a.data().data(), k, 1, b.data().data(), n, 1,
-                          out.data().data(), true);
+                          out.data().data());
   return out;
 }
 
@@ -56,7 +56,7 @@ t::Tensor blocked_tn(const t::Tensor& a, const t::Tensor& b) {
   const std::int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   t::Tensor out(t::Shape{m, n}, 0.0f);
   t::detail::gemm_blocked(m, n, k, a.data().data(), 1, m, b.data().data(), n, 1,
-                          out.data().data(), true);
+                          out.data().data());
   return out;
 }
 
@@ -64,7 +64,7 @@ t::Tensor blocked_nt(const t::Tensor& a, const t::Tensor& b) {
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   t::Tensor out(t::Shape{m, n}, 0.0f);
   t::detail::gemm_blocked(m, n, k, a.data().data(), k, 1, b.data().data(), 1, k,
-                          out.data().data(), true);
+                          out.data().data());
   return out;
 }
 
@@ -125,7 +125,7 @@ TEST(Gemm, AccumulatesIntoExistingC) {
   auto b = rand_mat(33, 18, 22);
   t::Tensor c = t::full(t::Shape{9, 18}, 2.0f);
   t::detail::gemm_blocked(9, 18, 33, a.data().data(), 33, 1, b.data().data(),
-                          18, 1, c.data().data(), false);
+                          18, 1, c.data().data());
   auto want = t::add_scalar(t::naive_matmul(a, b), 2.0f);
   EXPECT_TRUE(t::allclose(c, want, kRtol, kAtol));
 }

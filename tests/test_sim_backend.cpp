@@ -2,12 +2,16 @@
 // tasks backend must be observationally identical to the thread-per-rank
 // oracle — bit-identical losses, simulated clocks, interconnect bytes, and
 // trace summaries — across world sizes, worker counts, and fault scenarios,
-// plus a 1024-rank smoke test with a wall-time ceiling and the knob-parsing
-// surface (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers).
+// plus a 1024-rank smoke test with a wall-time ceiling, the knob-parsing
+// surface (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers), and
+// the CPU thread budget Cluster::run hands each rank (ThreadBudget.*).
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -25,6 +29,7 @@
 #include "obs/report.hpp"
 #include "sim/cluster.hpp"
 #include "sim/scheduler.hpp"
+#include "tensor/parallel.hpp"
 
 namespace col = ca::collective;
 namespace core = ca::core;
@@ -354,4 +359,79 @@ TEST(BackendKnobs, ConfigKeysParsedAndEnvWins) {
   EXPECT_THROW(core::launch("data=2 sim.backend=coroutines"),
                std::invalid_argument);
   EXPECT_THROW(core::launch("data=2 sim.workers=-1"), std::invalid_argument);
+}
+
+// ---- CPU thread budget ------------------------------------------------------
+
+namespace {
+
+/// OpenMP team size every rank sees inside cluster.run; fails unless all
+/// ranks agree.
+int rank_team(sim::Cluster& cluster) {
+  std::vector<int> seen(static_cast<std::size_t>(cluster.world_size()), 0);
+  cluster.run([&](int r) {
+    seen[static_cast<std::size_t>(r)] = omp_get_max_threads();
+  });
+  for (const int t : seen) EXPECT_EQ(t, seen[0]);
+  return seen[0];
+}
+
+/// The caps the budget tests run under: the process default and a fixed 8,
+/// so the split is exercised on any machine.
+std::vector<int> caps() { return {omp_get_max_threads(), 8}; }
+
+}  // namespace
+
+TEST(ThreadBudget, ThreadsBackendSplitsTheCapOverTheWorld) {
+  const int saved = omp_get_max_threads();
+  for (const int cap : caps()) {
+    omp_set_num_threads(cap);
+    for (const int world : {1, 2, 4, 64}) {
+      sim::Cluster cluster(sim::Topology::uniform(world, 100e9));
+      cluster.set_backend(sim::SimBackend::kThreads);
+      EXPECT_EQ(rank_team(cluster), std::max(1, cap / world))
+          << "cap " << cap << ", world " << world;
+      EXPECT_EQ(omp_get_max_threads(), cap) << "the caller's team changed";
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(ThreadBudget, TasksBackendSplitsTheCapOverTheWorkers) {
+  const int saved = omp_get_max_threads();
+  EnvGuard be("CA_SIM_BACKEND", "tasks");
+  for (const int cap : caps()) {
+    omp_set_num_threads(cap);
+    for (const char* workers : {"1", "2"}) {
+      EnvGuard wk("CA_SIM_WORKERS", workers);
+      sim::Cluster cluster(sim::Topology::uniform(16, 100e9));
+      ASSERT_EQ(cluster.backend(), sim::SimBackend::kTasks);
+      EXPECT_EQ(rank_team(cluster), std::max(1, cap / std::atoi(workers)))
+          << "cap " << cap << ", workers " << workers;
+      EXPECT_EQ(omp_get_max_threads(), cap) << "the caller's team changed";
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(ThreadBudget, ParallelForInsideAParallelRegionRunsOnOneThread) {
+  const std::int64_t n = 1 << 20;
+  std::atomic<int> calls{0}, whole{0}, same_team{0};
+  int outer = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    outer = omp_get_num_threads();
+    const int me = omp_get_thread_num();
+    ca::tensor::parallel_for(n, 1, [&](std::int64_t lo, std::int64_t hi) {
+      ++calls;
+      if (lo == 0 && hi == n) ++whole;
+      if (omp_get_thread_num() == me && omp_get_num_threads() == outer) {
+        ++same_team;
+      }
+    });
+  }
+  EXPECT_EQ(calls.load(), outer);
+  EXPECT_EQ(whole.load(), outer);
+  EXPECT_EQ(same_team.load(), outer);
 }

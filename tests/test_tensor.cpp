@@ -1,14 +1,25 @@
 // Unit tests for the tensor substrate: shapes, storage semantics, kernels,
 // fp16 conversion, and shape ops. Gradient kernels are checked against
-// central finite differences.
+// central finite differences, and every parallel kernel against itself
+// under other OpenMP team sizes (ParallelFor.*).
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
 
+#include "collective/backend.hpp"
+#include "nn/module.hpp"
+#include "optim/optimizer.hpp"
+#include "sim/cluster.hpp"
+#include "tensor/convert.hpp"
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/tensor.hpp"
 
 namespace t = ca::tensor;
@@ -439,4 +450,234 @@ TEST(Half, RelativeErrorBounded) {
     const float r = t::fp16_round_trip(v);
     EXPECT_LE(std::fabs(r - v) / std::fabs(v), 1.0f / 2048.0f + 1e-7f);
   }
+}
+
+// ---- ParallelFor: one entry point, results independent of the team ---------
+
+TEST(ParallelFor, CoversTheRangeOnceInDisjointChunks) {
+  const std::int64_t n = 10 * t::kElemGrain + 3;
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  std::atomic<int> chunks{0};
+  t::parallel_for(n, t::kElemGrain, [&](std::int64_t lo, std::int64_t hi) {
+    ++chunks;
+    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+  });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  EXPECT_LE(chunks.load(), std::min(t::thread_budget(), 11));
+
+  // At or below one grain the body runs once, on the calling thread.
+  chunks = 0;
+  t::parallel_for(t::kElemGrain, t::kElemGrain,
+                  [&](std::int64_t lo, std::int64_t hi) {
+    ++chunks;
+    EXPECT_EQ(lo, 0);
+    EXPECT_EQ(hi, t::kElemGrain);
+    EXPECT_EQ(omp_in_parallel(), 0);
+  });
+  EXPECT_EQ(chunks.load(), 1);
+  t::parallel_for(0, 1, [&](std::int64_t, std::int64_t) { ADD_FAILURE(); });
+}
+
+namespace {
+
+/// Team sizes the bit-identity checks sweep: one thread, two uneven splits,
+/// and one thread per processor.
+std::vector<int> teams() { return {1, 2, 3, omp_get_num_procs()}; }
+
+/// Run `kernel` once per team size (the calling thread's OpenMP budget times
+/// `cap_per_team`) and require every output to match the one-thread run
+/// byte for byte.
+void expect_team_invariant(
+    const std::function<std::vector<t::Tensor>()>& kernel,
+    int cap_per_team = 1) {
+  const int saved = omp_get_max_threads();
+  std::vector<t::Tensor> ref;
+  for (const int team : teams()) {
+    omp_set_num_threads(team * cap_per_team);
+    std::vector<t::Tensor> out = kernel();
+    if (ref.empty()) {
+      ref = std::move(out);
+      continue;
+    }
+    ASSERT_EQ(out.size(), ref.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].shape(), ref[i].shape());
+      EXPECT_EQ(std::memcmp(out[i].data().data(), ref[i].data().data(),
+                            out[i].data().size_bytes()),
+                0)
+          << "output " << i << " differs at team " << team << " (max diff "
+          << t::max_diff(out[i], ref[i]) << ")";
+    }
+  }
+  omp_set_num_threads(saved);
+}
+
+t::Tensor scalar(float v) { return t::full(t::Shape{1}, v); }
+
+}  // namespace
+
+TEST(ParallelFor, ElementwiseBitIdenticalAcrossTeams) {
+  const std::int64_t n = 5 * t::kElemGrain + 11;
+  const auto a = t::randn(t::Shape{n}, 1);
+  const auto b = t::randn(t::Shape{n}, 2);
+  const auto rows = t::randn(t::Shape{3001, 97}, 3);
+  const auto bias = t::randn(t::Shape{97}, 4);
+  expect_team_invariant([&] {
+    auto acc = a.clone();
+    t::add_(acc, b);
+    t::axpy_(acc, 0.37f, b);
+    t::scale_(acc, 1.7f);
+    return std::vector<t::Tensor>{t::add(a, b), t::sub(a, b), t::mul(a, b),
+                                  t::add_scalar(a, 0.3f), acc,
+                                  t::add_bias(rows, bias)};
+  });
+}
+
+TEST(ParallelFor, ActivationsBitIdenticalAcrossTeams) {
+  const auto x = t::randn(t::Shape{301, 401}, 5);
+  const auto dy = t::randn(t::Shape{301, 401}, 6);
+  expect_team_invariant([&] {
+    auto y = t::softmax_lastdim_scaled(x, 0.125f);
+    return std::vector<t::Tensor>{t::gelu(x), t::gelu_backward(x, dy), y,
+                                  t::softmax_backward_scaled(y, dy, 0.125f)};
+  });
+}
+
+TEST(ParallelFor, LayerNormBitIdenticalAcrossTeams) {
+  const auto x = t::randn(t::Shape{2003, 67}, 7, 0.5f, 2.0f);
+  const auto dy = t::randn(t::Shape{2003, 67}, 8);
+  const auto gamma = t::randn(t::Shape{67}, 9);
+  const auto beta = t::randn(t::Shape{67}, 10);
+  expect_team_invariant([&] {
+    t::Tensor mean, rstd;
+    auto y = t::layernorm_forward(x, gamma, beta, 1e-5f, mean, rstd);
+    auto dgamma = t::full(t::Shape{67}, 0.5f);
+    auto dbeta = t::full(t::Shape{67}, -0.5f);
+    auto dx = t::layernorm_backward(x, dy, gamma, mean, rstd, dgamma, dbeta);
+    return std::vector<t::Tensor>{y, mean, rstd, dx, dgamma, dbeta};
+  });
+}
+
+TEST(ParallelFor, CrossEntropyBitIdenticalAcrossTeams) {
+  const std::int64_t n = 4099, c = 37;
+  const auto logits = t::randn(t::Shape{n, c}, 11, 0.0f, 3.0f);
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(n));
+  for (std::int64_t r = 0; r < n; ++r) {
+    labels[static_cast<std::size_t>(r)] = (r * 7) % c;
+  }
+  expect_team_invariant([&] {
+    t::Tensor dl;
+    const float loss = t::cross_entropy(logits, labels, dl);
+    return std::vector<t::Tensor>{scalar(loss), dl};
+  });
+
+  // A loss whose double sum lands exactly on a float rounding tie unless the
+  // last two rows are summed together: row losses 2^60 and 2^36 first, two
+  // of 128 last (each alone rounds away against 2^60 + 2^36), zeros between.
+  // Summing per-thread partials makes the float loss depend on the team.
+  const std::int64_t m = 1024;
+  auto tie = t::zeros(t::Shape{m, 2});
+  std::vector<std::int64_t> tie_labels(static_cast<std::size_t>(m), 0);
+  // Logits {0, -1000} with label 0: the rival's exp underflows, loss is 0.
+  for (std::int64_t r = 0; r < m; ++r) tie.at(r, 1) = -1000.0f;
+  // Logits {v, 0} with label 1: loss is exactly v.
+  const auto set_loss = [&](std::int64_t r, float v) {
+    tie.at(r, 0) = v;
+    tie.at(r, 1) = 0.0f;
+    tie_labels[static_cast<std::size_t>(r)] = 1;
+  };
+  set_loss(0, std::ldexp(1.0f, 60));
+  set_loss(1, std::ldexp(1.0f, 36));
+  set_loss(m - 2, 128.0f);
+  set_loss(m - 1, 128.0f);
+  expect_team_invariant([&] {
+    t::Tensor dl;
+    const float loss = t::cross_entropy(tie, tie_labels, dl);
+    return std::vector<t::Tensor>{scalar(loss), dl};
+  });
+}
+
+TEST(ParallelFor, MatmulBitIdenticalAcrossTeams) {
+  // Blocked: 400 rows is four MC row blocks. Naive: each row's n*k work is
+  // over one grain, so every row is its own unit.
+  const auto a = t::randn(t::Shape{400, 96}, 12);
+  const auto at = t::randn(t::Shape{96, 400}, 13);
+  const auto b = t::randn(t::Shape{96, 80}, 14);
+  const auto bt = t::randn(t::Shape{80, 96}, 15);
+  const auto na = t::randn(t::Shape{67, 200}, 16);
+  const auto nat = t::randn(t::Shape{200, 67}, 17);
+  const auto nb = t::randn(t::Shape{200, 190}, 18);
+  const auto nbt = t::randn(t::Shape{190, 200}, 19);
+  expect_team_invariant([&] {
+    return std::vector<t::Tensor>{
+        t::matmul(a, b),           t::matmul_tn(at, b),
+        t::matmul_nt(a, bt),       t::naive_matmul(na, nb),
+        t::naive_matmul_tn(nat, nb), t::naive_matmul_nt(na, nbt)};
+  });
+}
+
+TEST(ParallelFor, BmmBitIdenticalAcrossTeams) {
+  // Five blocked batches (64^3 is the blocked cutoff) and forty small ones
+  // on the naive path.
+  const auto a = t::randn(t::Shape{5, 64, 64}, 20);
+  const auto b = t::randn(t::Shape{5, 64, 64}, 21);
+  const auto sa = t::randn(t::Shape{40, 16, 16}, 22);
+  const auto sb = t::randn(t::Shape{40, 16, 16}, 23);
+  expect_team_invariant([&] {
+    return std::vector<t::Tensor>{t::bmm(a, b),     t::bmm_nt(a, b),
+                                  t::bmm_tn(a, b),  t::bmm(sa, sb),
+                                  t::bmm_nt(sa, sb), t::bmm_tn(sa, sb)};
+  });
+}
+
+TEST(ParallelFor, HalfRoundTripBitIdenticalAcrossTeams) {
+  const std::int64_t n = 4 * t::kElemGrain + 5;
+  const auto x = t::randn(t::Shape{n}, 24, 0.0f, 1000.0f);
+  expect_team_invariant([&] {
+    t::Tensor f16(x.shape()), bf16(x.shape());
+    t::round_trip_f16(x.data().data(), f16.data().data(), n);
+    t::round_trip_bf16(x.data().data(), bf16.data().data(), n);
+    return std::vector<t::Tensor>{f16, bf16};
+  });
+}
+
+TEST(ParallelFor, OptimizersBitIdenticalAcrossTeams) {
+  const std::int64_t n = 6 * t::kElemGrain + 1;
+  const auto w0 = t::randn(t::Shape{n}, 25);
+  const auto g = t::randn(t::Shape{n}, 26);
+  expect_team_invariant([&] {
+    ca::nn::Parameter ps("sgd", w0.clone()), pa("adam", w0.clone());
+    ca::optim::Sgd sgd({&ps}, 0.1f, 0.9f);
+    ca::optim::Adam adam(
+        {&pa}, ca::optim::Adam::Hyper{.lr = 1e-2f, .weight_decay = 0.01f});
+    for (int step = 0; step < 3; ++step) {
+      ps.grad = g.clone();
+      pa.grad = g.clone();
+      sgd.step();
+      adam.step();
+    }
+    return std::vector<t::Tensor>{ps.value, pa.value};
+  });
+}
+
+TEST(ParallelFor, AllReduceBitIdenticalAcrossTeams) {
+  // Each rank gets cap / 4 threads, so the host cap is team x 4; 2^20
+  // elements give every reduce_members call many blocks to split.
+  const int world = 4;
+  const std::int64_t n = 1 << 20;
+  std::vector<t::Tensor> in;
+  for (int r = 0; r < world; ++r) in.push_back(t::randn(t::Shape{n}, 30 + r));
+  expect_team_invariant(
+      [&] {
+        ca::sim::Cluster cluster(ca::sim::Topology::uniform(world, 100e9));
+        ca::collective::Backend backend(cluster);
+        std::vector<t::Tensor> out;
+        for (const auto& x : in) out.push_back(x.clone());
+        cluster.run([&](int r) {
+          backend.world().all_reduce(r, out[static_cast<std::size_t>(r)].data(),
+                                     0.25f);
+        });
+        return out;
+      },
+      world);
 }
