@@ -9,7 +9,7 @@
 #include "tensor/ops.hpp"
 #include "tp/comm_volume.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
+#include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 
 using namespace ca;
@@ -58,12 +58,10 @@ std::int64_t measured(core::TpMode mode, int p, std::int64_t rows,
       }
       case core::TpMode::k2d: {
         const int q = w.ctx.grid_side();
-        tp::Linear2D lin(w.env(g), "l", h, h, 3);
-        auto xb = tp::Linear2D::shard_activation(x, q, w.ctx.row_coord(g),
-                                                 w.ctx.col_coord(g));
-        lin.forward(xb);
-        lin.backward(tp::Linear2D::shard_activation(dy, q, w.ctx.row_coord(g),
-                                                    w.ctx.col_coord(g)));
+        const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
+        tp::Linear2p5D lin(w.env(g), "l", h, h, 3);
+        lin.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+        lin.backward(tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c));
         break;
       }
       case core::TpMode::k3d: {

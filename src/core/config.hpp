@@ -42,7 +42,6 @@ struct Config {
   std::string sim_backend = "threads";   ///< or "tasks" (fibers)
   int sim_workers = 0;                   ///< 0 = one per hardware thread
   std::string metrics = "off";           ///< "on" attaches metric sinks
-  int metrics_hist_buckets = 0;          ///< 0 keeps the built-in default
   int checkpoint_interval = 0;           ///< steps between saves; 0 = off
   std::string checkpoint_dir = ".";      ///< where CheckpointHook writes
   std::string elastic = "off";           ///< "on" survives fail-stops

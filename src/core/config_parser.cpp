@@ -29,7 +29,6 @@ const std::pair<Knob, Field> kFields[] = {
     {Knob::kSimBackend, &Config::sim_backend},
     {Knob::kSimWorkers, &Config::sim_workers},
     {Knob::kMetrics, &Config::metrics},
-    {Knob::kMetricsHistBuckets, &Config::metrics_hist_buckets},
     {Knob::kCheckpointInterval, &Config::checkpoint_interval},
     {Knob::kCheckpointDir, &Config::checkpoint_dir},
     {Knob::kElastic, &Config::elastic},

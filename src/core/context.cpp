@@ -140,23 +140,11 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
         case TpMode::kNone:
         case TpMode::k1d:
           break;
-        case TpMode::k2d: {
-          const int q = Config::exact_sqrt(config_.tensor_parallel_size);
-          grid_side_ = q;
-          for (int r = 0; r < q; ++r) {  // rows
-            std::vector<int> row;
-            for (int c = 0; c < q; ++c) row.push_back(phys(base + r * q + c));
-            assign(row_groups_, backend_.create_group(std::move(row), "row"));
-          }
-          for (int c = 0; c < q; ++c) {  // columns
-            std::vector<int> col;
-            for (int r = 0; r < q; ++r) col.push_back(phys(base + r * q + c));
-            assign(col_groups_, backend_.create_group(std::move(col), "col"));
-          }
-          break;
-        }
+        case TpMode::k2d:
         case TpMode::k2p5d: {
-          const int depth = config_.tensor_depth;
+          // 2D is 2.5D at depth 1: one SUMMA grid per depth layer (rows,
+          // then columns), and depth groups only when layers stack.
+          const int depth = this->depth();
           const int layer = config_.tensor_parallel_size / depth;
           const int q = Config::exact_sqrt(layer);
           grid_side_ = q;
@@ -177,6 +165,7 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
               assign(col_groups_, backend_.create_group(std::move(col), "col"));
             }
           }
+          if (depth == 1) break;
           for (int cell = 0; cell < layer; ++cell) {
             std::vector<int> dg;
             for (int dd = 0; dd < depth; ++dd) {
@@ -329,7 +318,7 @@ int ParallelContext::col_coord(int grank) const {
 }
 
 int ParallelContext::depth_coord(int grank) const {
-  assert(config_.tensor_mode == TpMode::k2p5d);
+  assert(grid_side_ > 0 && config_.tensor_mode != TpMode::k3d);
   return tensor_rank(grank) / (grid_side_ * grid_side_);
 }
 

@@ -10,9 +10,9 @@ namespace ca::core {
 
 /// The parallel context manager of Figure 1: given a Config it decomposes
 /// every global rank into (data, pipeline, tensor/sequence) coordinates and
-/// builds all process groups each parallel mode needs, including the 2D
-/// row/column, 2.5D row/column/depth, and 3D axis sub-groups inside each
-/// tensor group.
+/// builds all process groups each parallel mode needs, including the 2D /
+/// 2.5D row/column(/depth) and 3D axis sub-groups inside each tensor group.
+/// 2D is built as 2.5D at depth 1.
 ///
 /// Rank layout (tensor innermost, matching Megatron-LM so tensor groups map
 /// to the best-connected devices):
@@ -107,7 +107,8 @@ class ParallelContext {
   // 2D / 2.5D: the SUMMA grid inside one (depth layer of a) tensor group.
   [[nodiscard]] collective::Group& row_group(int grank);
   [[nodiscard]] collective::Group& col_group(int grank);
-  /// 2.5D only: the group across depth layers holding the same grid cell.
+  /// 2.5D at depth > 1 only: the group across depth layers holding the same
+  /// grid cell.
   [[nodiscard]] collective::Group& depth_group(int grank);
 
   // 3D: groups that vary exactly one cube coordinate.
@@ -119,11 +120,15 @@ class ParallelContext {
 
   /// 2D / 2.5D grid side (j or k in the paper's notation); 3D cube side l.
   [[nodiscard]] int grid_side() const { return grid_side_; }
-  [[nodiscard]] int depth() const { return config_.tensor_depth; }
+  /// Number of stacked SUMMA grids: the configured depth in 2.5D, 1 in
+  /// every other mode (2D is 2.5D at depth 1).
+  [[nodiscard]] int depth() const {
+    return config_.tensor_mode == TpMode::k2p5d ? config_.tensor_depth : 1;
+  }
 
   [[nodiscard]] int row_coord(int grank) const;    // 2D/2.5D
   [[nodiscard]] int col_coord(int grank) const;    // 2D/2.5D
-  [[nodiscard]] int depth_coord(int grank) const;  // 2.5D
+  [[nodiscard]] int depth_coord(int grank) const;  // 2D (always 0)/2.5D
   [[nodiscard]] int cube_i(int grank) const;       // 3D
   [[nodiscard]] int cube_j(int grank) const;
   [[nodiscard]] int cube_k(int grank) const;

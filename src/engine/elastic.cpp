@@ -114,18 +114,23 @@ void ElasticCoordinator::run(
   }
   if (!ctx->is_member(grank)) return;
   for (;;) {
+    std::exception_ptr timeout;
     try {
       body(*ctx, ep);
       return;
     } catch (const sim::CommTimeoutError&) {
       if (!opts_.enabled) throw;
-      ctx = recover(grank);
-      if (ctx == nullptr) return;  // dropped from the shrunk world
-      std::lock_guard<std::mutex> lk(mu_);
-      ep = static_cast<int>(epochs_.size()) - 1;
+      timeout = std::current_exception();
     }
-    // DeviceFailure (this rank dying) and everything else propagate to
-    // Cluster::run, which records them and aborts the region as before.
+    // Only a timeout gets here: DeviceFailure (this rank dying) and
+    // everything else propagate to Cluster::run, which records them and
+    // aborts the region. Recovery runs outside the catch block because it
+    // blocks, and a fiber may resume on another worker thread, where a bare
+    // `throw;` would find no exception in flight.
+    ctx = recover(grank, timeout);
+    if (ctx == nullptr) return;  // dropped from the shrunk world
+    std::lock_guard<std::mutex> lk(mu_);
+    ep = static_cast<int>(epochs_.size()) - 1;
   }
 }
 
@@ -135,7 +140,8 @@ void ElasticCoordinator::poll(int grank) {
   throw sim::CommTimeoutError(grank, "elastic", "poll", 0, 0.0, fs.cause());
 }
 
-core::ParallelContext* ElasticCoordinator::recover(int grank) {
+core::ParallelContext* ElasticCoordinator::recover(
+    int grank, const std::exception_ptr& cause) {
   sim::Cluster& cluster = backend_.cluster();
   sim::Device& dev = cluster.device(grank);
   // Make sure every other living member unblocks and joins this round even
@@ -172,7 +178,7 @@ core::ParallelContext* ElasticCoordinator::recover(int grank) {
     }
     if (!sealing_ && arrived_ >= living) {
       sealing_ = true;
-      seal(lk, grank);  // publishes the next epoch, or rethrows on give-up
+      seal(lk, grank, cause);  // publishes the next epoch, or rethrows
       break;
     }
     const std::uint64_t seen = wake_seq_;
@@ -181,7 +187,7 @@ core::ParallelContext* ElasticCoordinator::recover(int grank) {
              wake_seq_ != seen;
     });
   }
-  if (failed_) throw;  // rethrow this survivor's own in-flight timeout
+  if (failed_) std::rethrow_exception(cause);  // this survivor's own timeout
 
   const Epoch& e = epochs_.back();
   core::ParallelContext* ctx = e.ctx.get();
@@ -204,7 +210,8 @@ core::ParallelContext* ElasticCoordinator::recover(int grank) {
   return member ? ctx : nullptr;
 }
 
-void ElasticCoordinator::seal(std::unique_lock<std::mutex>& lk, int grank) {
+void ElasticCoordinator::seal(std::unique_lock<std::mutex>& lk, int grank,
+                              const std::exception_ptr& cause) {
   // Snapshot everything, then drop mu_ for the FaultState / group-building
   // work (lock order, see the waker registration in the constructor). Every
   // living member is parked in recover() and the dead are dead, so the
@@ -241,7 +248,8 @@ void ElasticCoordinator::seal(std::unique_lock<std::mutex>& lk, int grank) {
     failed_ = true;
     cv_.notify_all();
     lk.unlock();
-    throw;  // the leader's own in-flight timeout; peers rethrow theirs
+    // the leader's own timeout; peers rethrow theirs
+    std::rethrow_exception(cause);
   }
 
   // From here the region is live again: collectives on the NEW groups work,

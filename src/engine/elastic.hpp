@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -94,13 +95,13 @@ class ElasticCoordinator {
   void run(int grank,
            const std::function<void(core::ParallelContext&, int epoch)>& body);
 
-  /// The recovery rendezvous itself (run() calls this from its catch block;
-  /// call it directly only while a CommTimeoutError is in flight). Blocks
-  /// until the round seals and the next epoch is published. Returns the new
-  /// context when this rank is a member, nullptr when it was dropped. When
-  /// recovery cannot continue (floor/round budget/replan failure) the
-  /// in-flight exception is rethrown on every survivor.
-  core::ParallelContext* recover(int grank);
+  /// The recovery rendezvous itself (run() calls this after catching a
+  /// CommTimeoutError; `cause` is that exception). Blocks until the round
+  /// seals and the next epoch is published. Returns the new context when
+  /// this rank is a member, nullptr when it was dropped. When recovery
+  /// cannot continue (floor/round budget/replan failure) every survivor
+  /// rethrows its own `cause`.
+  core::ParallelContext* recover(int grank, const std::exception_ptr& cause);
 
   /// Throw this rank back into recovery when the region aborted — the poll
   /// for compute-only stretches that would otherwise never notice a peer
@@ -137,7 +138,8 @@ class ElasticCoordinator {
   /// drops the lock for every FaultState / Backend call (lock order: never
   /// hold mu_ while taking a FaultState or Group mutex — the FaultState
   /// waker locks mu_ the other way around).
-  void seal(std::unique_lock<std::mutex>& lk, int grank);
+  void seal(std::unique_lock<std::mutex>& lk, int grank,
+            const std::exception_ptr& cause);
 
   collective::Backend& backend_;
   ElasticOptions opts_;

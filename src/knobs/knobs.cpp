@@ -45,8 +45,8 @@ const std::vector<Row>& table() {
      "fiber stack KiB; 0 = scheduler default", {}, 0, kMax >> 10},
     {kMetrics, "CA_METRICS", {"metrics", "metrics.enabled"}, kWord, "off",
      "on|off", "attach the per-rank metric sinks", {"on", "off"}},
-    {kMetricsHistBuckets, "CA_METRICS_HIST_BUCKETS", {"metrics.hist_buckets"},
-     kInt, "64", "integer in 1..4096", "histogram buckets", {}, 1, 4096},
+    {kFaultCkptCorrupt, "CA_FAULT_CKPT_CORRUPT", {}, kSpec, "",
+     "<step> or <step>:<offset>", "flip a byte of that step's checkpoint"},
     {kCheckpointInterval, "", {"checkpoint.interval"}, kInt, "0",
      "integer >= 0", "checkpoint every n steps; 0 = off", {}, 0, kMax},
     {kCheckpointDir, "", {"checkpoint.dir"}, kText, ".", "path",
@@ -73,8 +73,6 @@ const std::vector<Row>& table() {
      "one gradient poisoned with NaN before that step's sync"},
     {kFaultTransient, "CA_FAULT_TRANSIENT", {}, kSpec, "", "<from>:<duration>",
      "collectives in a window fail, then retry"},
-    {kFaultCkptCorrupt, "CA_FAULT_CKPT_CORRUPT", {}, kSpec, "",
-     "<step> or <step>:<offset>", "flip a byte of that step's checkpoint"},
   };
   // clang-format on
   return t;

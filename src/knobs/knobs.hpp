@@ -16,10 +16,10 @@ namespace ca::knobs {
 enum class Knob {
   kData, kPipeline, kTensorSize, kTensorMode, kTensorDepth, kSequence,
   kCollectiveAlgo, kCommDtype, kPpSchedule, kSimBackend, kSimWorkers,
-  kSimStackKb, kMetrics, kMetricsHistBuckets, kCheckpointInterval,
+  kSimStackKb, kMetrics, kFaultCkptCorrupt, kCheckpointInterval,
   kCheckpointDir, kElastic, kElasticMinWorld, kFaultWatchdog, kFaultSeed,
   kFaultRetryBase, kFaultRetries, kFaultFailstop, kFaultStraggler,
-  kFaultLink, kFaultNan, kFaultTransient, kFaultCkptCorrupt,
+  kFaultLink, kFaultNan, kFaultTransient,
 };
 
 /// How a row's text is checked: whole-string integer in [lo, hi], finite

@@ -1,7 +1,5 @@
 #include "models/transformer_classifier.hpp"
 
-#include <cassert>
-
 #include "models/layout_utils.hpp"
 #include "tp/block3d.hpp"
 #include "tp/block_grid.hpp"
@@ -50,187 +48,64 @@ struct TransformerClassifier::Impl {
   core::TpMode mode = core::TpMode::kNone;
   std::optional<tp::Env> env;
 
-  // serial / 1D members
-  std::unique_ptr<nn::Linear> embed_s;
+  // Patch embedding and classification head: nn::Linear (serial / 1D),
+  // Linear2p5D (2D / 2.5D) or Linear3D (3D).
+  std::unique_ptr<nn::Module> embed;
   std::vector<std::unique_ptr<nn::Module>> blocks;
-  std::unique_ptr<nn::Linear> head_s;
-
-  // grid (2D / 2.5D) members
-  std::unique_ptr<tp::Linear2D> embed_2d, head_2d;
-  std::unique_ptr<tp::Linear2p5D> embed_25d, head_25d;
-
-  // 3D members
-  std::unique_ptr<tp::Linear3D> embed_3d, head_3d;
+  std::unique_ptr<nn::Module> head;
 
   std::int64_t saved_local_seq = 0;
 
-  // ---- layout helpers --------------------------------------------------------
-
   t::Tensor shard_input(const t::Tensor& full) const {
+    if (detail::layout_replicated(env)) return full.clone();
     auto& ctx = *env->ctx;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return full.clone();
-      case core::TpMode::k2d:
-        return tp::shard_tokens(full, ctx.grid_side(), 1, 0,
-                                ctx.row_coord(env->grank),
-                                ctx.col_coord(env->grank));
-      case core::TpMode::k2p5d:
-        return tp::shard_tokens(full, ctx.grid_side(), ctx.depth(),
-                                ctx.depth_coord(env->grank),
-                                ctx.row_coord(env->grank),
-                                ctx.col_coord(env->grank));
-      case core::TpMode::k3d:
-        return tp::shard_tokens_3d(full, ctx.grid_side(),
-                                   ctx.cube_i(env->grank),
-                                   ctx.cube_j(env->grank),
-                                   ctx.cube_k(env->grank));
+    const int g = env->grank;
+    if (mode == core::TpMode::k3d) {
+      return tp::shard_tokens_3d(full, ctx.grid_side(), ctx.cube_i(g),
+                                 ctx.cube_j(g), ctx.cube_k(g));
     }
-    return full.clone();
-  }
-
-  /// Gather per-rank 2-d logits blocks into the full (batch, classes).
-  t::Tensor gather_logits(const t::Tensor& local) const {
-    if (mode == core::TpMode::kNone || mode == core::TpMode::k1d) return local;
-    auto& ctx = *env->ctx;
-    auto& g = ctx.tensor_group(env->grank);
-    const int p = g.size();
-    t::Tensor flat(t::Shape{local.numel() * p});
-    g.all_gather(env->grank, local.data(), flat.data());
-    const std::int64_t br = local.dim(0), bc = local.dim(1);
-    const int q = ctx.grid_side();
-    switch (mode) {
-      case core::TpMode::k2d:
-        return detail::reassemble_blocks(flat, br, bc, q, q, [q](int m) {
-          return std::pair<int, int>{m / q, m % q};
-        });
-      case core::TpMode::k2p5d: {
-        const int d = ctx.depth();
-        return detail::reassemble_blocks(flat, br, bc, d * q, q, [q](int m) {
-          const int dd = m / (q * q), r = (m / q) % q, c = m % q;
-          return std::pair<int, int>{dd * q + r, c};
-        });
-      }
-      case core::TpMode::k3d: {
-        const int l = q;
-        return detail::reassemble_blocks(flat, br, bc, l * l, l, [l](int m) {
-          const int i = m / (l * l), j = (m / l) % l, k = m % l;
-          return std::pair<int, int>{i * l + k, j};
-        });
-      }
-      default:
-        return local;
-    }
-  }
-
-  t::Tensor shard_dlogits(const t::Tensor& full) const {
-    auto& ctx = *env->ctx;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return full;
-      case core::TpMode::k2d:
-        return tp::Linear2D::shard_activation(full, ctx.grid_side(),
-                                              ctx.row_coord(env->grank),
-                                              ctx.col_coord(env->grank));
-      case core::TpMode::k2p5d:
-        return tp::Linear2p5D::shard_activation(
-            full, ctx.grid_side(), ctx.depth(), ctx.depth_coord(env->grank),
-            ctx.row_coord(env->grank), ctx.col_coord(env->grank));
-      case core::TpMode::k3d:
-        return tp::Linear3D::shard_output(full, ctx.grid_side(),
-                                          ctx.cube_i(env->grank),
-                                          ctx.cube_j(env->grank),
-                                          ctx.cube_k(env->grank));
-    }
-    return full;
+    return tp::shard_tokens(full, ctx.grid_side(), ctx.depth(),
+                            ctx.depth_coord(g), ctx.row_coord(g),
+                            ctx.col_coord(g));
   }
 
   // ---- forward / backward ----------------------------------------------------
 
   t::Tensor forward(const t::Tensor& x_full) {
     auto x = shard_input(x_full);
-    const std::int64_t b = x.dim(0), s = x.dim(1), f = x.dim(2);
+    const std::int64_t b = x.dim(0), s = x.dim(1);
     saved_local_seq = s;
-
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d: {
-        auto h = embed_s->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_s->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k2d: {
-        auto h = embed_2d->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_2d->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k2p5d: {
-        auto h = embed_25d->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_25d->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k3d: {
-        const int l = env->ctx->grid_side();
-        auto y = embed_3d->forward(x.reshape(t::Shape{b * s, f}));
-        auto h3 = tp::convert_3d_y_to_x(*env, y).reshape(
-            t::Shape{b, s, cfg.hidden / (l * l)});
-        for (auto& blk : blocks) h3 = blk->forward(h3);
-        return head_3d->forward(mean_pool(h3, cfg.patches));
-      }
+    t::Tensor h;
+    if (mode == core::TpMode::k3d) {
+      // Linear3D works on 2-d matrices and leaves its output in Y-layout.
+      const int l = env->ctx->grid_side();
+      auto y = embed->forward(x.reshape(t::Shape{b * s, x.dim(2)}));
+      h = tp::convert_3d_y_to_x(*env, y).reshape(
+          t::Shape{b, s, cfg.hidden / (l * l)});
+    } else {
+      h = embed->forward(x);
     }
-    return {};
+    for (auto& blk : blocks) h = blk->forward(h);
+    return head->forward(mean_pool(h, cfg.patches));
   }
 
   void backward(const t::Tensor& dlogits_local) {
     const std::int64_t s = saved_local_seq;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d: {
-        auto g = unpool(head_s->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_s->backward(g);
-        break;
-      }
-      case core::TpMode::k2d: {
-        auto g = unpool(head_2d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_2d->backward(g);
-        break;
-      }
-      case core::TpMode::k2p5d: {
-        auto g = unpool(head_25d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_25d->backward(g);
-        break;
-      }
-      case core::TpMode::k3d: {
-        auto g = unpool(head_3d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        const std::int64_t b = g.dim(0), hc = g.dim(2);
-        embed_3d->backward(
-            tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc})));
-        break;
-      }
+    auto g = unpool(head->backward(dlogits_local), s, cfg.patches);
+    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+      g = (*it)->backward(g);
+    if (mode == core::TpMode::k3d) {
+      const std::int64_t b = g.dim(0), hc = g.dim(2);
+      g = tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc}));
     }
+    embed->backward(g);
   }
 
   std::vector<nn::Parameter*> parameters() {
     std::vector<nn::Parameter*> out;
-    if (embed_s) embed_s->collect_parameters(out);
-    if (embed_2d) embed_2d->collect_parameters(out);
-    if (embed_25d) embed_25d->collect_parameters(out);
-    if (embed_3d) embed_3d->collect_parameters(out);
+    embed->collect_parameters(out);
     for (auto& b : blocks) b->collect_parameters(out);
-    if (head_s) head_s->collect_parameters(out);
-    if (head_2d) head_2d->collect_parameters(out);
-    if (head_25d) head_25d->collect_parameters(out);
-    if (head_3d) head_3d->collect_parameters(out);
+    head->collect_parameters(out);
     return out;
   }
 };
@@ -238,15 +113,15 @@ struct TransformerClassifier::Impl {
 TransformerClassifier::TransformerClassifier(Config cfg)
     : impl_(std::make_unique<Impl>()) {
   impl_->cfg = cfg;
-  impl_->embed_s =
+  impl_->embed =
       std::make_unique<nn::Linear>("embed", cfg.patch_dim, cfg.hidden, cfg.seed);
   for (std::int64_t b = 0; b < cfg.blocks; ++b) {
     impl_->blocks.push_back(std::make_unique<nn::TransformerBlock>(
         "block" + std::to_string(b), cfg.hidden, cfg.heads, cfg.ffn,
         cfg.seed + 1000 * (b + 1)));
   }
-  impl_->head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                               cfg.seed + 999);
+  impl_->head = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                             cfg.seed + 999);
 }
 
 TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
@@ -269,11 +144,8 @@ TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
             env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
         break;
       case core::TpMode::k2d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock2D>(
-            env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
       case core::TpMode::k2p5d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock2p5D>(
+        I.blocks.push_back(std::make_unique<tp::GridTransformerBlock>(
             env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
         break;
       case core::TpMode::k3d:
@@ -285,28 +157,23 @@ TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
   switch (I.mode) {
     case core::TpMode::kNone:
     case core::TpMode::k1d:
-      I.embed_s = std::make_unique<nn::Linear>("embed", cfg.patch_dim,
-                                               cfg.hidden, cfg.seed);
-      I.head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                              cfg.seed + 999);
+      I.embed = std::make_unique<nn::Linear>("embed", cfg.patch_dim,
+                                             cfg.hidden, cfg.seed);
+      I.head = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                            cfg.seed + 999);
       break;
     case core::TpMode::k2d:
-      I.embed_2d = std::make_unique<tp::Linear2D>(env, "embed", cfg.patch_dim,
-                                                  cfg.hidden, cfg.seed);
-      I.head_2d = std::make_unique<tp::Linear2D>(env, "head", cfg.hidden,
-                                                 cfg.classes, cfg.seed + 999);
-      break;
     case core::TpMode::k2p5d:
-      I.embed_25d = std::make_unique<tp::Linear2p5D>(
-          env, "embed", cfg.patch_dim, cfg.hidden, cfg.seed);
-      I.head_25d = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
-                                                    cfg.classes, cfg.seed + 999);
+      I.embed = std::make_unique<tp::Linear2p5D>(env, "embed", cfg.patch_dim,
+                                                 cfg.hidden, cfg.seed);
+      I.head = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
+                                                cfg.classes, cfg.seed + 999);
       break;
     case core::TpMode::k3d:
-      I.embed_3d = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
-                                                  cfg.hidden, cfg.seed);
-      I.head_3d = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
-                                                 cfg.classes, cfg.seed + 999);
+      I.embed = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
+                                               cfg.hidden, cfg.seed);
+      I.head = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
+                                              cfg.classes, cfg.seed + 999);
       break;
   }
 }
@@ -314,16 +181,15 @@ TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
 TransformerClassifier::~TransformerClassifier() = default;
 
 t::Tensor TransformerClassifier::logits(const t::Tensor& x_full) {
-  return impl_->gather_logits(impl_->forward(x_full));
+  return detail::gather_logits(impl_->env, impl_->forward(x_full));
 }
 
 float TransformerClassifier::train_batch(const t::Tensor& x_full,
                                          std::span<const std::int64_t> labels) {
-  auto local = impl_->forward(x_full);
-  auto full = impl_->gather_logits(local);
+  auto full = logits(x_full);
   t::Tensor dl;
   const float loss = t::cross_entropy(full, labels, dl);
-  impl_->backward(impl_->shard_dlogits(dl));
+  impl_->backward(detail::shard_logits(impl_->env, dl));
   return loss;
 }
 

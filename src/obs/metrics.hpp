@@ -10,8 +10,7 @@
 
 namespace ca::obs {
 
-/// Default log2-bucket count of a Histogram (CA_METRICS_HIST_BUCKETS / the
-/// `metrics.hist_buckets` config key override it registry-wide).
+/// Default log2-bucket count of a Histogram.
 inline constexpr int kDefaultHistBuckets = 64;
 
 /// Monotonic event count. Plain int64 — each sink is written by exactly one

@@ -25,8 +25,6 @@ Cluster::Cluster(Topology topo, const knobs::Layer& config)
   stack_bytes_ = static_cast<std::size_t>(
                      knobs::resolve_int(Knob::kSimStackKb, config))
                  << 10;
-  hist_buckets_ =
-      static_cast<int>(knobs::resolve_int(Knob::kMetricsHistBuckets, config));
   if (knobs::resolve(Knob::kMetrics, config) == "on") enable_metrics();
 }
 
@@ -194,8 +192,7 @@ void Cluster::disable_tracing() {
 
 obs::MetricsRegistry& Cluster::enable_metrics() {
   if (!metrics_) {
-    metrics_ =
-        std::make_unique<obs::MetricsRegistry>(world_size(), hist_buckets_);
+    metrics_ = std::make_unique<obs::MetricsRegistry>(world_size());
   }
   for (int r = 0; r < world_size(); ++r) {
     devices_[static_cast<std::size_t>(r)]->set_metrics(&metrics_->rank(r));

@@ -117,17 +117,13 @@ class Cluster {
   /// Turn on the per-rank metric registry: creates (or reuses) the
   /// MetricsRegistry and hands each Device its rank sink. Call outside the
   /// SPMD region. Idempotent. CA_METRICS / `metrics` = on enables this at
-  /// construction; CA_METRICS_HIST_BUCKETS / `metrics.hist_buckets` sizes
-  /// the histograms.
+  /// construction.
   obs::MetricsRegistry& enable_metrics();
   /// Detach all sinks; values collected so far stay readable through
   /// metrics(). The emit points revert to their single disabled-path branch.
   void disable_metrics();
   /// The registry, or nullptr if enable_metrics was never called.
   [[nodiscard]] obs::MetricsRegistry* metrics() { return metrics_.get(); }
-  /// Histogram bucket count for the next enable_metrics() (existing
-  /// registries keep their size).
-  [[nodiscard]] int metrics_hist_buckets() const { return hist_buckets_; }
 
  private:
   Topology topo_;
@@ -139,7 +135,6 @@ class Cluster {
   MemoryTracker nvme_mem_{"nvme", 0};  // capacity 0 => unlimited
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  int hist_buckets_ = obs::kDefaultHistBuckets;
   FaultState fault_state_;
   std::unique_ptr<FaultInjector> injector_;
 };

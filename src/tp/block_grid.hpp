@@ -16,7 +16,6 @@
 #include <cmath>
 
 #include "nn/layers.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 
 namespace ca::tp {
@@ -131,7 +130,7 @@ class GridLayerNorm : public nn::Module {
     // gamma/beta are shared across rows (and depth): sum their grads there
     all_reduce(col, env_.grank, dgamma);
     all_reduce(col, env_.grank, dbeta);
-    if (env_.ctx->config().tensor_mode == core::TpMode::k2p5d) {
+    if (env_.ctx->depth() > 1) {
       auto& depth = env_.ctx->depth_group(env_.grank);
       all_reduce(depth, env_.grank, dgamma);
       all_reduce(depth, env_.grank, dbeta);
@@ -178,7 +177,6 @@ inline tensor::Tensor permute_qkv_columns(const tensor::Tensor& full, int q) {
 /// permuted per-chunk so each block holds its heads' q/k/v), local attention
 /// over the full sequence of the local batch slice, SUMMA output projection.
 /// Requires batch % (d*q) == 0 and heads % q == 0.
-template <class LinearT>
 class GridAttention : public nn::Module {
  public:
   GridAttention(const Env& env, std::string name, std::int64_t hidden,
@@ -253,14 +251,13 @@ class GridAttention : public nn::Module {
   std::int64_t hidden_, heads_;
   int q_;
   std::int64_t local_heads_, head_dim_;
-  LinearT qkv_;
-  LinearT proj_;
+  Linear2p5D qkv_;
+  Linear2p5D proj_;
   tensor::Tensor saved_q_, saved_k_, saved_v_, saved_attn_;
   std::int64_t saved_batch_ = 0, saved_seq_ = 0;
 };
 
 /// Pre-LN Transformer block on grid blocks.
-template <class LinearT>
 class GridTransformerBlock : public nn::Module {
  public:
   GridTransformerBlock(const Env& env, std::string name, std::int64_t hidden,
@@ -297,16 +294,11 @@ class GridTransformerBlock : public nn::Module {
 
  private:
   GridLayerNorm ln1_;
-  GridAttention<LinearT> attn_;
+  GridAttention attn_;
   GridLayerNorm ln2_;
-  LinearT fc1_;
+  Linear2p5D fc1_;
   nn::Gelu act_;
-  LinearT fc2_;
+  Linear2p5D fc2_;
 };
-
-using Attention2D = GridAttention<Linear2D>;
-using Attention2p5D = GridAttention<Linear2p5D>;
-using TransformerBlock2D = GridTransformerBlock<Linear2D>;
-using TransformerBlock2p5D = GridTransformerBlock<Linear2p5D>;
 
 }  // namespace ca::tp

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "nn/layers.hpp"
@@ -8,18 +9,22 @@
 
 namespace ca::tp {
 
-/// 2.5D tensor-parallel linear (Wang et al., "2.5-dimensional distributed
-/// model training"): d stacked SUMMA grids of k*k devices. The input batch is
-/// split into d slabs, one per depth layer, and each layer runs SUMMA over
-/// its slab — that divides the activation communication by d (Table 1:
-/// 3(k-1)(S_X/d + S_W)). With depth == 1 this degenerates to plain 2D.
+/// The grid tensor-parallel linear of both 2D and 2.5D. 2.5D (Wang et al.,
+/// "2.5-dimensional distributed model training") stacks d SUMMA grids of
+/// k*k devices; 2D (Xu et al., "An Efficient 2D Method for Training
+/// Super-Large Deep Learning Models") is the same layer at depth 1. The
+/// input batch is split into d slabs, one per depth layer, and each layer
+/// runs SUMMA over its slab: forward broadcasts X blocks along rows and W
+/// blocks along columns, and backward runs two more SUMMA passes (dX and
+/// dW) built from broadcasts + reductions. That gives Table 1's
+/// 3(k-1)(S_X/d + S_W), which at d = 1 is 2D's 3(j-1)(S_X + S_W).
 ///
-/// Weight storage is fully partitioned over all p = d*k^2 devices (each
-/// depth layer holds a 1/d row-slab of its grid block) and the block is
-/// all-gathered over the depth group on use, then released — the
-/// gather-use-free pattern that gives 2.5D its memory advantage over 1D in
-/// the paper's Figure 8 while weight *traffic* still counts S_W per SUMMA
-/// pass.
+/// Input, weight and output are all partitioned, which is the memory
+/// advantage over 1D that the paper's Figure 8 measures. At depth > 1 each
+/// depth layer holds a 1/d row-slab of its grid block, and the block is
+/// all-gathered over the depth group on use, then released. This
+/// gather-use-free pattern keeps weight *traffic* at S_W per SUMMA pass. At
+/// depth 1 the slab is the whole block and no depth-group work runs.
 ///
 /// Local layout for device (depth dd, row r, col c):
 ///   X slab:  (rows/(d*k), in/k)       — batch slab dd, SUMMA row r, col c
@@ -29,7 +34,9 @@ class Linear2p5D : public nn::Module {
  public:
   Linear2p5D(const Env& env, std::string name, std::int64_t in,
              std::int64_t out, std::uint64_t seed, bool with_bias = true);
-  /// Construct from an explicit full weight (see Linear2D).
+  /// Construct from an explicit full weight (every rank passes the same
+  /// tensor and keeps its slab) — used by the fused-QKV attention layer
+  /// whose column layout is not a plain chunk of a seeded weight.
   Linear2p5D(const Env& env, std::string name,
              const tensor::Tensor& full_weight, bool with_bias = true);
   ~Linear2p5D() override;
@@ -39,14 +46,17 @@ class Linear2p5D : public nn::Module {
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
 
   [[nodiscard]] nn::Parameter& weight() { return weight_; }
+  [[nodiscard]] nn::Parameter* bias() { return with_bias_ ? &bias_ : nullptr; }
 
   /// Slice the (dd, r, c) activation block out of a full 2-d matrix.
   static tensor::Tensor shard_activation(const tensor::Tensor& full, int q,
                                          int depth, int dd, int r, int c);
 
  private:
-  /// Gather this rank's full (in/k, out/k) grid block over the depth group.
-  tensor::Tensor gather_weight_block();
+  /// This rank's full (in/k, out/k) grid block for one SUMMA pass. At
+  /// depth > 1 it is gathered over the depth group and `hold` charges it to
+  /// device memory until the pass ends; at depth 1 it is the local weight.
+  tensor::Tensor weight_block(std::optional<sim::ScopedAlloc>& hold);
 
   Env env_;
   std::int64_t in_, out_;
@@ -59,7 +69,8 @@ class Linear2p5D : public nn::Module {
   std::int64_t param_bytes_ = 0;
 };
 
-/// 2.5D-parallel MLP.
+/// 2D / 2.5D-parallel MLP: Linear2p5D -> GELU -> Linear2p5D. GELU is local
+/// because activations are fully partitioned.
 class Mlp2p5D : public nn::Module {
  public:
   Mlp2p5D(const Env& env, std::string name, std::int64_t hidden,

@@ -25,7 +25,6 @@
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/relayout.hpp"
@@ -65,8 +64,6 @@ struct ElasticModel {
                                                    seed, /*gather_output=*/true);
         break;
       case core::TpMode::k2d:
-        layer_ = std::make_unique<tp::Linear2D>(env, "l", kHidden, kHidden, seed);
-        break;
       case core::TpMode::k2p5d:
         layer_ =
             std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
@@ -89,13 +86,7 @@ struct ElasticModel {
       case core::TpMode::kNone:
       case core::TpMode::k1d:
         return layer_->forward(x);  // gather_output gives the full y
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        const int r = ctx.row_coord(g), c = ctx.col_coord(g);
-        auto y = layer_->forward(tp::Linear2D::shard_activation(x, q, r, c));
-        const nn::ShardSpec spec{kRows, kHidden, q, r, q, c, 1, true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
+      case core::TpMode::k2d:
       case core::TpMode::k2p5d: {
         const int q = ctx.grid_side(), d = ctx.depth();
         const int r = ctx.row_coord(g), c = ctx.col_coord(g);
@@ -126,12 +117,7 @@ struct ElasticModel {
       case core::TpMode::k1d:
         layer_->backward(dy);
         return;
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        layer_->backward(tp::Linear2D::shard_activation(
-            dy, q, ctx.row_coord(g), ctx.col_coord(g)));
-        return;
-      }
+      case core::TpMode::k2d:
       case core::TpMode::k2p5d: {
         layer_->backward(tp::Linear2p5D::shard_activation(
             dy, ctx.grid_side(), ctx.depth(), ctx.depth_coord(g),

@@ -236,7 +236,6 @@ TEST(KnobsTable, NamesKeysAndDefaultsArePinned) {
       {"CA_SIM_WORKERS", "sim.workers", "0"},
       {"CA_SIM_STACK_KB", "", "0"},
       {"CA_METRICS", "metrics metrics.enabled", "off"},
-      {"CA_METRICS_HIST_BUCKETS", "metrics.hist_buckets", "64"},
       {"", "checkpoint.interval", "0"},
       {"", "checkpoint.dir", "."},
       {"CA_ELASTIC", "elastic elastic.enabled", "off"},
@@ -265,18 +264,15 @@ TEST(KnobsTable, DefaultsMatchTheConsumers) {
   // and equals the table default where the field is not a sentinel.
   EXPECT_TRUE(core::knob_layer(core::Config{}).empty());
   for (const knobs::Row& r : knobs::table()) {
-    if (r.keys.empty() || r.knob == Knob::kMetricsHistBuckets) continue;
+    if (r.keys.empty()) continue;
     const core::Config cfg = core::parse_config(std::string(r.keys.at(0)) +
                                                 "=" + std::string(r.def));
     EXPECT_TRUE(core::knob_layer(cfg).empty()) << r.keys.at(0);
   }
-  // metrics.hist_buckets keeps 0 as "built-in default" in Config.
-  EXPECT_EQ(core::Config{}.metrics_hist_buckets, 0);
   sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
   EXPECT_EQ(cluster.backend(), sim::SimBackend::kThreads);
   EXPECT_EQ(cluster.workers(), 0);
   EXPECT_EQ(cluster.stack_bytes(), 0u);
-  EXPECT_EQ(cluster.metrics_hist_buckets(), ca::obs::kDefaultHistBuckets);
   EXPECT_EQ(cluster.metrics(), nullptr);
   const sim::FaultPlan plan;
   EXPECT_EQ(plan.seed, 0u);

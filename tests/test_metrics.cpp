@@ -641,24 +641,6 @@ TEST(MetricsKnobs, EnvEnablesAndGarbageThrows) {
   }
 }
 
-TEST(MetricsKnobs, HistBucketsEnvParsesAndRejectsGarbage) {
-  {
-    EnvGuard on("CA_METRICS", "on");
-    EnvGuard buckets("CA_METRICS_HIST_BUCKETS", "16");
-    sim::Cluster cluster(sim::Topology::uniform(1, 100e9));
-    ASSERT_NE(cluster.metrics(), nullptr);
-    EXPECT_EQ(cluster.metrics()->hist_buckets(), 16);
-    cluster.run([&](int g) { cluster.device(g).metrics()->hist("h").record(1.0); });
-    EXPECT_EQ(cluster.metrics()->rank(0).hists().at("h").buckets().size(), 16u);
-  }
-  for (const char* bad : {"abc", "12abc", "0", "-3", "99999"}) {
-    EnvGuard g("CA_METRICS_HIST_BUCKETS", bad);
-    EXPECT_THROW(sim::Cluster(sim::Topology::uniform(1, 100e9)),
-                 std::invalid_argument)
-        << "value '" << bad << "' must be rejected";
-  }
-}
-
 TEST(MetricsKnobs, EnvWinsOverConfig) {
   {
     // config says on, env says off: env wins
@@ -668,30 +650,18 @@ TEST(MetricsKnobs, EnvWinsOverConfig) {
   }
   {
     // env silent: the config key lands
-    auto world = core::launch("data=2 metrics=on metrics.hist_buckets=32");
+    auto world = core::launch("data=2 metrics=on");
     ASSERT_NE(world->cluster().metrics(), nullptr);
-    EXPECT_EQ(world->cluster().metrics()->hist_buckets(), 32);
-  }
-  {
-    // env bucket override beats the config's
-    EnvGuard buckets("CA_METRICS_HIST_BUCKETS", "8");
-    auto world = core::launch("data=2 metrics=on metrics.hist_buckets=32");
-    ASSERT_NE(world->cluster().metrics(), nullptr);
-    EXPECT_EQ(world->cluster().metrics()->hist_buckets(), 8);
   }
 }
 
 TEST(MetricsConfig, ParserAcceptsKeysAndValidateRejectsGarbage) {
-  const auto cfg = core::parse_config("metrics=on metrics.hist_buckets=128");
+  const auto cfg = core::parse_config("metrics=on");
   EXPECT_EQ(cfg.metrics, "on");
-  EXPECT_EQ(cfg.metrics_hist_buckets, 128);
   EXPECT_EQ(core::parse_config("metrics.enabled=off").metrics, "off");
   EXPECT_THROW(core::parse_config("metrics=maybe"), std::invalid_argument);
-  EXPECT_THROW(core::parse_config("metrics.hist_buckets=abc"),
-               std::invalid_argument);
-  EXPECT_THROW(core::parse_config("metrics.hist_buckets=-1"),
-               std::invalid_argument);
-  EXPECT_THROW(core::parse_config("metrics.hist_buckets=9999"),
+  // the histogram bucket count is not configurable: its old key is unknown
+  EXPECT_THROW(core::parse_config("metrics.hist_buckets=32"),
                std::invalid_argument);
 }
 

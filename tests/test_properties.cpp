@@ -11,7 +11,6 @@
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/memory_model.hpp"
@@ -256,16 +255,7 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
         dx_expect = dx_ref;
         break;
       }
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        const int r = ctx.row_coord(g), cc = ctx.col_coord(g);
-        tp::Linear2D lin(env, "l", c.in, c.out, c.seed);
-        y = lin.forward(tp::Linear2D::shard_activation(x, q, r, cc));
-        dx = lin.backward(tp::Linear2D::shard_activation(dy, q, r, cc));
-        y_expect = tp::Linear2D::shard_activation(y_ref, q, r, cc);
-        dx_expect = tp::Linear2D::shard_activation(dx_ref, q, r, cc);
-        break;
-      }
+      case core::TpMode::k2d:
       case core::TpMode::k2p5d: {
         const int q = ctx.grid_side(), d = ctx.depth();
         const int dd = ctx.depth_coord(g), r = ctx.row_coord(g),

@@ -10,13 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "nn/layers.hpp"
+#include "obs/trace.hpp"
+#include "tp/block_grid.hpp"
 #include "tp/comm_volume.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/memory_model.hpp"
@@ -217,10 +219,10 @@ void check_2d_linear(int p, std::int64_t in, std::int64_t out,
   std::vector<t::Tensor> y(p), dx(p), dw(p), db(p);
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Linear2D lin(w.env(g), "l", in, out, 51);
+    tp::Linear2p5D lin(w.env(g), "l", in, out, 51);
     lin.bias()->value = t::chunk(bias_full, 0, q, c);
-    auto x_blk = tp::Linear2D::shard_activation(x, q, r, c);
-    auto dy_blk = tp::Linear2D::shard_activation(dy, q, r, c);
+    auto x_blk = tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c);
+    auto dy_blk = tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c);
     y[g] = lin.forward(x_blk);
     dx[g] = lin.backward(dy_blk);
     dw[g] = lin.weight().grad.clone();
@@ -228,11 +230,11 @@ void check_2d_linear(int p, std::int64_t in, std::int64_t out,
   });
   for (int g = 0; g < p; ++g) {
     const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, 1, 0, r, c), 1e-4f))
         << "block " << r << "," << c;
     EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2D::shard_activation(dx_ref, q, r, c), 1e-4f));
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, 1, 0, r, c), 1e-4f));
     auto dw_ref = t::chunk(t::chunk(serial.weight().grad, 0, q, r), 1, q, c);
     EXPECT_TRUE(t::allclose(dw[g], dw_ref, 1e-4f));
     EXPECT_TRUE(
@@ -259,16 +261,16 @@ TEST(Tp2d, MlpMatchesSerial) {
   std::vector<t::Tensor> y(p), dx(p);
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Mlp2D mlp(w.env(g), "m", h, f, 61);
-    y[g] = mlp.forward(tp::Linear2D::shard_activation(x, q, r, c));
-    dx[g] = mlp.backward(tp::Linear2D::shard_activation(dy, q, r, c));
+    tp::Mlp2p5D mlp(w.env(g), "m", h, f, 61);
+    y[g] = mlp.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+    dx[g] = mlp.backward(tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c));
   });
   for (int g = 0; g < p; ++g) {
     const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f));
     EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2D::shard_activation(dx_ref, q, r, c), 1e-4f));
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, 1, 0, r, c), 1e-4f));
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, 1, 0, r, c), 1e-4f));
   }
 }
 
@@ -309,26 +311,140 @@ TEST(Tp2p5d, LinearMatchesSerial8Gpus) {
   }
 }
 
-TEST(Tp2p5d, DepthOneDegeneratesTo2d) {
-  // depth == 1: 2.5D must equal 2D numerically on the same grid.
-  const int p = 4, q = 2;
-  const std::int64_t in = 8, out = 8, rows = 4;
-  TpWorld w(tp_config(core::TpMode::k2p5d, p, 1));
+// ---- 2D is 2.5D at depth 1 -------------------------------------------------------
 
-  nn::Linear serial("l", in, out, 81);
-  auto x = t::randn(t::Shape{rows, in}, 82);
-  auto y_ref = serial.forward(x);
+namespace {
 
-  std::vector<t::Tensor> y(p);
+/// What one grid run leaves behind, per rank: the outputs, input gradients
+/// and parameter gradients of a two-layer Linear2p5D chain and of a
+/// GridTransformerBlock; the simulated clock, bytes sent and memory peak;
+/// and, when traced, the event list and the memory timeline.
+struct GridRun {
+  std::vector<std::vector<t::Tensor>> values;
+  std::vector<double> clock;
+  std::vector<std::int64_t> bytes, peak;
+  std::vector<std::vector<ca::obs::TraceEvent>> events;
+  std::vector<std::vector<std::pair<double, std::int64_t>>> mem;
+};
+
+GridRun run_grid(const core::Config& cfg, t::Dtype wire, bool trace) {
+  TpWorld w(cfg);
+  w.ctx.set_comm_dtype(wire);
+  if (trace) w.cluster.enable_tracing();
+  const int p = cfg.world_size();
+  const std::int64_t rows = 12, h = 12, b = 6, s = 3, heads = 6, f = 24;
+  const auto x = t::randn(t::Shape{rows, h}, 1);
+  const auto dy = t::randn(t::Shape{rows, h}, 2);
+  const auto xt = t::randn(t::Shape{b, s, h}, 3);
+  const auto dyt = t::randn(t::Shape{b, s, h}, 4);
+  GridRun out;
+  out.values.resize(static_cast<std::size_t>(p));
   w.cluster.run([&](int g) {
-    const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Linear2p5D lin(w.env(g), "l", in, out, 81);
-    y[g] = lin.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+    const int q = w.ctx.grid_side(), d = w.ctx.depth(),
+              dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
+              c = w.ctx.col_coord(g);
+    tp::Linear2p5D l1(w.env(g), "a", h, h, 7), l2(w.env(g), "b", h, h, 8);
+    auto y = l2.forward(
+        l1.forward(tp::Linear2p5D::shard_activation(x, q, d, dd, r, c)));
+    auto dx = l1.backward(
+        l2.backward(tp::Linear2p5D::shard_activation(dy, q, d, dd, r, c)));
+    tp::GridTransformerBlock blk(w.env(g), "t", h, heads, f, 21);
+    auto yt = blk.forward(tp::shard_tokens(xt, q, d, dd, r, c));
+    auto dxt = blk.backward(tp::shard_tokens(dyt, q, d, dd, r, c));
+    auto& v = out.values[static_cast<std::size_t>(g)];
+    v = {y, dx, yt, dxt};
+    std::vector<nn::Parameter*> params;
+    l1.collect_parameters(params);
+    l2.collect_parameters(params);
+    blk.collect_parameters(params);
+    for (nn::Parameter* prm : params) v.push_back(prm->grad.clone());
   });
   for (int g = 0; g < p; ++g) {
-    const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f));
+    const sim::Device& dev = w.cluster.device(g);
+    out.clock.push_back(dev.clock());
+    out.bytes.push_back(dev.bytes_sent());
+    out.peak.push_back(dev.mem().peak());
+    if (trace) {
+      out.events.push_back(w.cluster.tracer()->rank(g).events());
+      out.mem.push_back(w.cluster.tracer()->rank(g).mem_timeline());
+    }
+  }
+  return out;
+}
+
+bool same_event(const ca::obs::TraceEvent& a, const ca::obs::TraceEvent& b) {
+  return a.name == b.name && a.cat == b.cat && a.t0 == b.t0 && a.t1 == b.t1 &&
+         a.t_issue == b.t_issue && a.bytes == b.bytes && a.flops == b.flops &&
+         a.alpha == b.alpha && a.algo == b.algo && a.dtype == b.dtype;
+}
+
+}  // namespace
+
+TEST(Tp2p5d, DepthOneDegeneratesTo2d) {
+  // tensor.mode=2d and tensor.mode=2.5d tensor.depth=1 are one computation:
+  // the same bits, clocks, bytes and memory, and the same trace. A depth-1
+  // layer that still gathered its weight block or ran size-1 depth
+  // collectives would show up in the memory peak and timeline.
+  for (int p : {4, 9}) {
+    for (t::Dtype wire : {t::Dtype::kF32, t::Dtype::kBF16}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " wire=" + t::dtype_name(wire));
+      const auto a = run_grid(tp_config(core::TpMode::k2d, p), wire, true);
+      const auto b = run_grid(tp_config(core::TpMode::k2p5d, p, 1), wire, true);
+      for (int g = 0; g < p; ++g) {
+        const auto& va = a.values[static_cast<std::size_t>(g)];
+        const auto& vb = b.values[static_cast<std::size_t>(g)];
+        ASSERT_EQ(va.size(), vb.size());
+        for (std::size_t i = 0; i < va.size(); ++i) {
+          ASSERT_EQ(va[i].shape(), vb[i].shape());
+          EXPECT_EQ(std::memcmp(va[i].data().data(), vb[i].data().data(),
+                                va[i].data().size_bytes()),
+                    0)
+              << "rank " << g << " tensor " << i;
+        }
+        const auto& ea = a.events[static_cast<std::size_t>(g)];
+        const auto& eb = b.events[static_cast<std::size_t>(g)];
+        ASSERT_EQ(ea.size(), eb.size()) << "rank " << g;
+        for (std::size_t i = 0; i < ea.size(); ++i) {
+          EXPECT_TRUE(same_event(ea[i], eb[i]))
+              << "rank " << g << " event " << i << " " << ea[i].name;
+        }
+        EXPECT_EQ(a.mem[static_cast<std::size_t>(g)],
+                  b.mem[static_cast<std::size_t>(g)])
+            << "rank " << g;
+      }
+      EXPECT_EQ(a.clock, b.clock);
+      EXPECT_EQ(a.bytes, b.bytes);
+      EXPECT_EQ(a.peak, b.peak);
+    }
+  }
+}
+
+TEST(Tp2d, GoldenClocksBytesAndPeaks) {
+  // run_grid's workload under 2D, pinned per rank: the simulated clock
+  // (exact, hex-float), bytes sent and memory peak. Every rank of these
+  // symmetric grids lands on the same triple.
+  struct Golden {
+    int p;
+    t::Dtype wire;
+    double clock;
+    std::int64_t bytes, peak;
+  };
+  const Golden cases[] = {
+      {4, t::Dtype::kF32, 0x1.063d2160686b2p-11, 9024, 6624},
+      {4, t::Dtype::kBF16, 0x1.06354d844348dp-11, 6108, 6624},
+      {9, t::Dtype::kF32, 0x1.649436afc6faep-10, 7982, 3040},
+      {9, t::Dtype::kBF16, 0x1.648efec7ae398p-10, 5395, 3040},
+  };
+  for (const Golden& c : cases) {
+    const auto run = run_grid(tp_config(core::TpMode::k2d, c.p), c.wire, false);
+    for (int g = 0; g < c.p; ++g) {
+      const auto i = static_cast<std::size_t>(g);
+      SCOPED_TRACE("p=" + std::to_string(c.p) + " wire=" +
+                   t::dtype_name(c.wire) + " rank " + std::to_string(g));
+      EXPECT_EQ(run.clock[i], c.clock);
+      EXPECT_EQ(run.bytes[i], c.bytes);
+      EXPECT_EQ(run.peak[i], c.peak);
+    }
   }
 }
 
@@ -492,11 +608,10 @@ TEST(CommVolume, MeasuredTrafficOrdersLikeTable1) {
         }
         case core::TpMode::k2d: {
           const int q = w.ctx.grid_side();
-          tp::Linear2D lin(w.env(g), "l", h, h, 3);
-          auto xb = tp::Linear2D::shard_activation(x, q, w.ctx.row_coord(g),
-                                                   w.ctx.col_coord(g));
-          auto dyb = tp::Linear2D::shard_activation(dy, q, w.ctx.row_coord(g),
-                                                    w.ctx.col_coord(g));
+          const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
+          tp::Linear2p5D lin(w.env(g), "l", h, h, 3);
+          auto xb = tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c);
+          auto dyb = tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c);
           lin.backward(lin.forward(xb).shares_storage_with(xb) ? dyb : dyb);
           break;
         }
@@ -542,16 +657,7 @@ std::int64_t measured_two_layer_peak(core::TpMode mode, int p, int depth,
         l1.backward(l2.backward(dy));
         break;
       }
-      case core::TpMode::k2d: {
-        const int q = w.ctx.grid_side();
-        const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-        tp::Linear2D l1(env, "a", h, h, 7);
-        tp::Linear2D l2(env, "b", h, h, 8);
-        auto y = l2.forward(l1.forward(tp::Linear2D::shard_activation(x, q, r, c)));
-        (void)y;
-        l1.backward(l2.backward(tp::Linear2D::shard_activation(dy, q, r, c)));
-        break;
-      }
+      case core::TpMode::k2d:
       case core::TpMode::k2p5d: {
         const int q = w.ctx.grid_side(), d = w.ctx.depth();
         const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),

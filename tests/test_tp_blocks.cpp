@@ -78,7 +78,7 @@ TEST(GridLayerNorm, MatchesSerialLayerNorm) {
   }
 }
 
-TEST(GridAttention2D, MatchesSerialAttention) {
+TEST(GridAttention, MatchesSerialAttention) {
   const int p = 4, q = 2;
   const std::int64_t b = 4, s = 3, h = 8, heads = 2;
   World w(core::TpMode::k2d, p);
@@ -92,7 +92,7 @@ TEST(GridAttention2D, MatchesSerialAttention) {
   std::vector<t::Tensor> y(p), dx(p);
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Attention2D attn(w.env(g), "a", h, heads, 11);
+    tp::GridAttention attn(w.env(g), "a", h, heads, 11);
     y[g] = attn.forward(tp::shard_tokens(x, q, 1, 0, r, c));
     dx[g] = attn.backward(tp::shard_tokens(dy, q, 1, 0, r, c));
   });
@@ -120,7 +120,7 @@ TEST(GridBlock2D, MatchesSerialTransformerBlock) {
   std::vector<t::Tensor> y(p), dx(p);
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::TransformerBlock2D blk(w.env(g), "t", h, heads, f, 21);
+    tp::GridTransformerBlock blk(w.env(g), "t", h, heads, f, 21);
     y[g] = blk.forward(tp::shard_tokens(x, q, 1, 0, r, c));
     dx[g] = blk.backward(tp::shard_tokens(dy, q, 1, 0, r, c));
   });
@@ -149,7 +149,7 @@ TEST(GridBlock2p5D, MatchesSerialTransformerBlock) {
   w.cluster.run([&](int g) {
     const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
               c = w.ctx.col_coord(g);
-    tp::TransformerBlock2p5D blk(w.env(g), "t", h, heads, f, 31);
+    tp::GridTransformerBlock blk(w.env(g), "t", h, heads, f, 31);
     y[g] = blk.forward(tp::shard_tokens(x, q, d, dd, r, c));
     dx[g] = blk.backward(tp::shard_tokens(dy, q, d, dd, r, c));
   });
