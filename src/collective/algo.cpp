@@ -60,6 +60,30 @@ std::vector<int> TwoLevelPlan::owner_permutation() const {
   return perm;
 }
 
+namespace {
+
+/// Slowest link on the ring over the global ranks behind the given member
+/// indices of `ranks` (a block or the leader set).
+double member_ring_bottleneck(const sim::Topology& topo,
+                              std::span<const int> ranks,
+                              const std::vector<int>& members) {
+  if (members.size() < 2) return 0.0;
+  std::vector<int> g;
+  g.reserve(members.size());
+  for (int m : members) g.push_back(ranks[static_cast<std::size_t>(m)]);
+  return topo.ring_bottleneck(g);
+}
+
+void price_rings(TwoLevelPlan& plan, const sim::Topology& topo,
+                 std::span<const int> ranks) {
+  for (const auto& block : plan.blocks) {
+    plan.block_ring_bw.push_back(member_ring_bottleneck(topo, ranks, block));
+  }
+  plan.leader_ring_bw = member_ring_bottleneck(topo, ranks, plan.leaders);
+}
+
+}  // namespace
+
 TwoLevelPlan plan_two_level(const sim::Topology& topo,
                             std::span<const int> ranks) {
   TwoLevelPlan plan;
@@ -82,6 +106,7 @@ TwoLevelPlan plan_two_level(const sim::Topology& topo,
       plan.blocks.push_back(std::move(members));
     }
     plan.by_node = true;
+    price_rings(plan, topo, ranks);
     return plan;
   }
 
@@ -96,6 +121,7 @@ TwoLevelPlan plan_two_level(const sim::Topology& topo,
       plan.leaders.push_back(members.front());
       plan.blocks.push_back(std::move(members));
     }
+    price_rings(plan, topo, ranks);
   }
   return plan;
 }

@@ -47,6 +47,11 @@ struct TwoLevelPlan {
   std::vector<std::vector<int>> blocks;
   std::vector<int> leaders;  ///< first (lowest) member index of each block
   bool by_node = false;      ///< blocks follow real topology nodes
+  /// Slowest link on each block's ring and on the leader ring (0 for a ring
+  /// of fewer than two), fixed by the topology, so plan_two_level prices
+  /// them once instead of the cost model on every call.
+  std::vector<double> block_ring_bw;
+  double leader_ring_bw = 0.0;
 
   [[nodiscard]] bool viable() const { return blocks.size() >= 2; }
   [[nodiscard]] int num_blocks() const { return static_cast<int>(blocks.size()); }

@@ -21,28 +21,14 @@ int ceil_log2(int p) {
   return bits;
 }
 
-/// Slowest link on the ring over the global ranks behind the given member
-/// indices of `ranks` (a block or the leader set).
-double member_ring_bottleneck(const sim::Topology& topo,
-                              std::span<const int> ranks,
-                              const std::vector<int>& members) {
-  if (members.size() < 2) return 0.0;
-  std::vector<int> g;
-  g.reserve(members.size());
-  for (int m : members) g.push_back(ranks[static_cast<std::size_t>(m)]);
-  return topo.ring_bottleneck(g);
-}
-
 /// One intra-block pass (the reduce-scatter or all-gather half): every block
 /// runs concurrently, so the phase costs the slowest block.
-double intra_pass_time(const sim::Topology& topo, std::span<const int> ranks,
-                       const TwoLevelPlan& plan, double b, double alpha) {
+double intra_pass_time(const TwoLevelPlan& plan, double b, double alpha) {
   double t = 0.0;
-  for (const auto& block : plan.blocks) {
-    const auto m = static_cast<double>(block.size());
-    if (block.size() < 2) continue;
-    const double bw = member_ring_bottleneck(topo, ranks, block);
-    t = std::max(t, (m - 1.0) * (alpha + b / m / bw));
+  for (std::size_t i = 0; i < plan.blocks.size(); ++i) {
+    const auto m = static_cast<double>(plan.blocks[i].size());
+    if (plan.blocks[i].size() < 2) continue;
+    t = std::max(t, (m - 1.0) * (alpha + b / m / plan.block_ring_bw[i]));
   }
   return t;
 }
@@ -50,20 +36,17 @@ double intra_pass_time(const sim::Topology& topo, std::span<const int> ranks,
 /// The inter-block all-reduce: each block's 1/m share is exchanged across
 /// the leader ring (slot j of every block exchanges with slot j of the
 /// others; the leader ring's bottleneck link bounds all slots).
-double inter_pass_time(const sim::Topology& topo, std::span<const int> ranks,
-                       const TwoLevelPlan& plan, double b, double alpha) {
+double inter_pass_time(const TwoLevelPlan& plan, double b, double alpha) {
   const auto l = static_cast<double>(plan.num_blocks());
   if (plan.num_blocks() < 2) return 0.0;
-  const double bw = member_ring_bottleneck(topo, ranks, plan.leaders);
   const double share = b / static_cast<double>(std::max(plan.min_block(), 1));
-  return 2.0 * (l - 1.0) * (alpha + share / l / bw);
+  return 2.0 * (l - 1.0) * (alpha + share / l / plan.leader_ring_bw);
 }
 
-double hierarchical_time(Op op, const sim::Topology& topo,
-                         std::span<const int> ranks, const TwoLevelPlan& plan,
-                         double b, double alpha) {
-  const double intra = intra_pass_time(topo, ranks, plan, b, alpha);
-  const double inter = inter_pass_time(topo, ranks, plan, b, alpha);
+double hierarchical_time(Op op, const TwoLevelPlan& plan, double b,
+                         double alpha) {
+  const double intra = intra_pass_time(plan, b, alpha);
+  const double inter = inter_pass_time(plan, b, alpha);
   switch (op) {
     case Op::kAllReduce:
       return intra + inter + intra;  // RS intra, AR inter, AG intra
@@ -141,7 +124,7 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
 
     case Algo::kHierarchical:
       if (!plan.viable()) return collective_time(op, topo, ranks, bytes);
-      return hierarchical_time(op, topo, ranks, plan, b, alpha);
+      return hierarchical_time(op, plan, b, alpha);
 
     case Algo::kSingleRoot: {
       // Latency-optimal binary tree; the slowest group link bounds each hop.

@@ -2,18 +2,22 @@
 
 #include <pthread.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 // Fiber-switch annotations so the sanitizers track which stack is live.
 // Without them ASan's fake-stack bookkeeping and TSan's happens-before graph
@@ -44,9 +48,161 @@
 #endif
 #endif
 
+#ifdef CA_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace ca::sim {
 
 namespace detail {
+
+// ---- context switch ---------------------------------------------------------
+//
+// Two functions are all the scheduler needs from the target: make a context
+// that enters entry(arg) on a fresh stack, and switch from one context to
+// another. On x86-64 the switch is a few instructions of assembly that save
+// what the SysV ABI says a call preserves (rbx, rbp, r12-r15, the MXCSR and
+// the x87 control word) on the old stack and swap rsp: no signal-mask
+// syscalls, unlike glibc's swapcontext. Other targets keep ucontext.
+
+#if defined(__x86_64__)
+
+struct Context {
+  void* sp = nullptr;  // saved stack pointer; the registers sit above it
+};
+
+extern "C" void ca_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void ca_fiber_start();
+
+// ca_fiber_switch pushes the callee-saved registers and the FP control state,
+// stores rsp through save_sp, loads load_sp and pops the same frame there.
+// ca_fiber_start is where a fresh context's first switch returns to: r12
+// holds the entry function and r13 its argument (see context_make), and the
+// entry never returns.
+asm(R"(
+  .text
+  .globl ca_fiber_switch
+  .hidden ca_fiber_switch
+  .type ca_fiber_switch, @function
+  .p2align 4
+ca_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size ca_fiber_switch, .-ca_fiber_switch
+
+  .globl ca_fiber_start
+  .hidden ca_fiber_start
+  .type ca_fiber_start, @function
+  .p2align 4
+ca_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r13, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size ca_fiber_start, .-ca_fiber_start
+)");
+
+/// The frame ca_fiber_switch pops, lowest address first.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad;
+  void* r15;
+  void* r14;
+  void* r13;
+  void* r12;
+  void* rbx;
+  void* rbp;
+  void* ret;
+};
+static_assert(sizeof(SwitchFrame) == 64, "ca_fiber_switch pops 64 bytes");
+
+namespace {
+
+/// Set up `c` to run entry(arg) on [lo, lo + size) when first switched to.
+/// The fiber starts with the FP control state of the thread that makes it.
+void context_make(Context& c, void* lo, std::size_t size,
+                  void (*entry)(void*), void* arg) {
+  const auto top =
+      (reinterpret_cast<std::uintptr_t>(lo) + size) & ~std::uintptr_t{15};
+  // ret pops the last slot, leaving rsp 16-byte aligned at ca_fiber_start,
+  // so its call enters `entry` with the alignment the ABI requires.
+  auto* f = reinterpret_cast<SwitchFrame*>(top - sizeof(SwitchFrame));
+  *f = SwitchFrame{};
+  asm volatile("stmxcsr %0" : "=m"(f->mxcsr));
+  asm volatile("fnstcw %0" : "=m"(f->x87_cw));
+  f->r12 = reinterpret_cast<void*>(entry);
+  f->r13 = arg;
+  f->ret = reinterpret_cast<void*>(&ca_fiber_start);
+  c.sp = f;
+}
+
+inline void context_switch(Context& from, Context& to) {
+  ca_fiber_switch(&from.sp, to.sp);
+}
+
+}  // namespace
+
+#else  // !__x86_64__
+
+struct Context {
+  ucontext_t uc{};
+  void (*entry)(void*) = nullptr;
+  void* arg = nullptr;
+};
+
+namespace {
+
+void context_entry(unsigned hi, unsigned lo) {
+  auto* c = reinterpret_cast<Context*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                       static_cast<std::uintptr_t>(lo));
+  c->entry(c->arg);
+}
+
+void context_make(Context& c, void* lo, std::size_t size,
+                  void (*entry)(void*), void* arg) {
+  c.entry = entry;
+  c.arg = arg;
+  getcontext(&c.uc);
+  c.uc.uc_stack.ss_sp = lo;
+  c.uc.uc_stack.ss_size = size;
+  c.uc.uc_link = nullptr;
+  const auto p = reinterpret_cast<std::uintptr_t>(&c);
+  makecontext(&c.uc, reinterpret_cast<void (*)()>(&context_entry), 2,
+              static_cast<unsigned>(p >> 32),
+              static_cast<unsigned>(p & 0xffffffffu));
+}
+
+inline void context_switch(Context& from, Context& to) {
+  swapcontext(&from.uc, &to.uc);
+}
+
+}  // namespace
+
+#endif
+
+// ---- fibers -----------------------------------------------------------------
 
 class Pool;
 
@@ -59,18 +215,24 @@ class Pool;
 ///   kParked  -> waker exchange -> kReady     (late wake: the waker queues it)
 enum FiberState : int { kRunning = 0, kParked = 1, kReady = 2 };
 
-struct Fiber {
-  ucontext_t ctx{};
+/// Cache-line size. Fibers live in one array per run and their `state` is
+/// written by whichever worker resumes or wakes them, so each fiber gets its
+/// own line; so do the pool's ready-queue and sleep fields. Without it, which
+/// fields share a line depends on where the allocator and the stack put them,
+/// and step time changes from one process to the next.
+constexpr std::size_t kCacheLine = 64;
+
+struct alignas(kCacheLine) Fiber {
+  Context ctx;
   Pool* pool = nullptr;
   int rank = -1;
   const double* clock = nullptr;  // bound to obs::ThreadClock while running
-  void* map_base = nullptr;       // mmap base; guard page at the low end
-  std::size_t map_bytes = 0;
-  std::size_t usable = 0;  // writable stack bytes above the guard page
+  char* stack_lo = nullptr;       // lowest usable byte, above the guard page
   std::atomic<int> state{kReady};
   bool finished = false;
-  Fiber* next = nullptr;             // TaskWaitQueue / free-list link
-  ucontext_t* return_ctx = nullptr;  // resuming worker's context
+  Fiber* next = nullptr;        // TaskWaitQueue link
+  Fiber* ready_next = nullptr;  // ready-queue link
+  Context* return_ctx = nullptr;  // resuming worker's context
 #ifdef CA_TSAN_FIBERS
   void* tsan_fiber = nullptr;
   void* tsan_worker = nullptr;  // resuming worker's TSan fiber
@@ -99,41 +261,207 @@ __attribute__((noinline)) Fiber*& tls_fiber() {
   return current;
 }
 
-void fiber_trampoline(unsigned hi, unsigned lo);
+void fiber_entry(void* arg);
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Test-and-test-and-set lock for the ready queue, whose critical sections
+/// are a few pointer writes: far shorter than the futex round trip a
+/// contended std::mutex costs.
+class SpinLock {
+ public:
+  void lock() {
+    while (locked_.exchange(true, std::memory_order_acquire)) {
+      int spins = 0;
+      while (locked_.load(std::memory_order_relaxed)) {
+        // The holder may have been preempted; stop burning its core.
+        if (++spins % 64 == 0) {
+          std::this_thread::yield();
+        } else {
+          cpu_relax();
+        }
+      }
+    }
+  }
+  void unlock() { locked_.store(false, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> locked_{false};
+};
+
+/// Pause iterations an idle worker polls the ready count before it sleeps:
+/// tens of microseconds on current x86 cores, longer than the gap between a
+/// park and the wake the next rendezvous arrival delivers, shorter than a
+/// scheduler tick.
+constexpr int kIdleSpins = 2000;
+
+/// Process-wide free list of fiber stacks, keyed by usable size. A stack is
+/// one mapping: a PROT_NONE guard page at the low end, then `usable`
+/// read-write bytes. Runs hand their stacks back instead of unmapping them,
+/// so the next run skips mmap/mprotect/munmap and the first-touch faults.
+/// The list only grows when a run needs more stacks than it holds, so it
+/// never holds more than were live at once.
+class StackCache {
+ public:
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (auto& [usable, los] : free_) {
+      for (char* lo : los) unmap(lo, usable);
+    }
+  }
+
+  static StackCache& instance() {
+    static StackCache cache;
+    return cache;
+  }
+
+  /// `n` stacks of `usable` bytes each, lowest usable byte first.
+  std::vector<char*> acquire(std::size_t usable, int n) {
+    std::vector<char*> out;
+    out.reserve(static_cast<std::size_t>(n));
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto& list = free_[usable];
+      while (!list.empty() && static_cast<int>(out.size()) < n) {
+        out.push_back(list.back());
+        list.pop_back();
+      }
+    }
+#ifdef CA_ASAN_FIBERS
+    // A finished fiber's last frames never returned, so their redzones are
+    // still poisoned in the shadow.
+    for (char* lo : out) ASAN_UNPOISON_MEMORY_REGION(lo, usable);
+#endif
+    while (static_cast<int>(out.size()) < n) {
+      char* lo = map(usable);
+      if (lo == nullptr) {
+        release(usable, out);
+        throw std::runtime_error("TaskScheduler: fiber stack mmap failed");
+      }
+      out.push_back(lo);
+    }
+    return out;
+  }
+
+  void release(std::size_t usable, const std::vector<char*>& los) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto& list = free_[usable];
+    list.insert(list.end(), los.begin(), los.end());
+  }
+
+ private:
+  static char* map(std::size_t usable) {
+    const std::size_t page = page_size();
+    void* base = mmap(nullptr, usable + page, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (base == MAP_FAILED) return nullptr;
+    char* lo = static_cast<char*>(base) + page;
+    if (mprotect(lo, usable, PROT_READ | PROT_WRITE) != 0) {
+      munmap(base, usable + page);
+      return nullptr;
+    }
+    return lo;
+  }
+
+  static void unmap(char* lo, std::size_t usable) {
+    munmap(lo - page_size(), usable + page_size());
+  }
+
+  std::mutex mu_;
+  std::map<std::size_t, std::vector<char*>> free_;  // guarded by mu_
+};
 
 }  // namespace
 
-/// One TaskScheduler::run invocation: the worker threads, the ready deque,
+/// One TaskScheduler::run invocation: the worker threads, the ready queue,
 /// and the fibers' lifetime. Static entry points reach the pool through the
 /// current fiber's back-pointer.
+///
+/// Ready queue: an intrusive FIFO under a SpinLock, with `nready_` counting
+/// its entries. Idle workers poll `nready_` for kIdleSpins pauses and only
+/// then sleep on `sleep_cv_`, counted in `asleep_`. Lost-wakeup freedom is a
+/// Dekker pair on two sequentially consistent atomics: a pusher increments
+/// `nready_` and then reads `asleep_`; a sleeper increments `asleep_` and
+/// then reads `nready_` under `sleep_mu_`. In the single total order one of
+/// them sees the other's write: either the pusher sees the sleeper and
+/// notifies under `sleep_mu_` (so the notify cannot fall between the
+/// sleeper's check and its wait), or the sleeper sees the work and does not
+/// sleep.
 class Pool {
  public:
   Pool(int workers, std::size_t stack_bytes)
-      : nworkers_(workers), stack_bytes_(stack_bytes) {}
+      : nworkers_(workers), usable_(stack_bytes) {}
 
   void run(int n, const std::function<void(int)>& body,
            const std::function<const double*(int)>& clock_of) {
     if (n <= 0) return;
     body_ = &body;
-    live_ = n;
+    auto& cache = StackCache::instance();
+    const std::vector<char*> stacks = cache.acquire(usable_, n);
+    auto fibers = std::make_unique<Fiber[]>(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      Fiber& f = fibers[static_cast<std::size_t>(r)];
+      f.pool = this;
+      f.rank = r;
+      f.clock = clock_of ? clock_of(r) : nullptr;
+      f.stack_lo = stacks[static_cast<std::size_t>(r)];
+#ifdef CA_TSAN_FIBERS
+      f.tsan_fiber = __tsan_create_fiber(0);
+#endif
+      context_make(f.ctx, f.stack_lo, usable_, &fiber_entry, &f);
+      f.ready_next = r + 1 < n ? &fibers[static_cast<std::size_t>(r) + 1]
+                               : nullptr;
+    }
+    head_ = &fibers[0];
+    tail_ = &fibers[static_cast<std::size_t>(n) - 1];
+    nready_.store(n);
+    live_.store(n);
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (int r = 0; r < n; ++r) {
-        ready_.push_back(make_fiber(r, clock_of ? clock_of(r) : nullptr));
+      std::vector<std::thread> workers;
+      workers.reserve(static_cast<std::size_t>(nworkers_));
+      for (int w = 0; w < nworkers_; ++w) {
+        workers.emplace_back([this] { worker_loop(); });
       }
+      for (auto& t : workers) t.join();
     }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(nworkers_));
-    for (int w = 0; w < nworkers_; ++w) {
-      workers.emplace_back([this] { worker_loop(); });
+#ifdef CA_TSAN_FIBERS
+    for (int r = 0; r < n; ++r) {
+      __tsan_destroy_fiber(fibers[static_cast<std::size_t>(r)].tsan_fiber);
     }
-    for (auto& t : workers) t.join();
+#endif
+    cache.release(usable_, stacks);
   }
 
-  void push_ready(Fiber* f) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ready_.push_back(f);
-    cv_.notify_one();
+  /// Append the chain first..last (`count` fibers linked by ready_next) to
+  /// the ready queue in one critical section, then wake at most as many
+  /// sleeping workers as fibers were pushed.
+  void push_ready(Fiber* first, Fiber* last, int count) {
+    last->ready_next = nullptr;
+    {
+      std::lock_guard<SpinLock> lk(qlock_);
+      if (tail_ != nullptr) {
+        tail_->ready_next = first;
+      } else {
+        head_ = first;
+      }
+      tail_ = last;
+      nready_.fetch_add(count);
+    }
+    const int sleeping = asleep_.load();
+    if (sleeping > 0) {
+      std::lock_guard<std::mutex> lk(sleep_mu_);
+      for (int i = std::min(count, sleeping); i > 0; --i) {
+        sleep_cv_.notify_one();
+      }
+    }
   }
 
   void run_body(Fiber* f) { (*body_)(f->rank); }
@@ -147,7 +475,7 @@ class Pool {
 #ifdef CA_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&f->asan_fake, f->from_lo, f->from_size);
 #endif
-    swapcontext(&f->ctx, f->return_ctx);
+    context_switch(f->ctx, *f->return_ctx);
     // Resumed — possibly on a different worker thread (resume() re-pointed
     // return_ctx / tsan_worker before switching us back in).
 #ifdef CA_ASAN_FIBERS
@@ -156,56 +484,35 @@ class Pool {
   }
 
  private:
-  Fiber* make_fiber(int rank, const double* clock) {
-    const std::size_t page = page_size();
-    const std::size_t usable = (stack_bytes_ + page - 1) / page * page;
-    const std::size_t total = usable + page;  // +1 guard page, kept PROT_NONE
-    void* base = mmap(nullptr, total, PROT_NONE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (base == MAP_FAILED) {
-      throw std::runtime_error("TaskScheduler: fiber stack mmap failed");
-    }
-    if (mprotect(static_cast<char*>(base) + page, usable,
-                 PROT_READ | PROT_WRITE) != 0) {
-      munmap(base, total);
-      throw std::runtime_error("TaskScheduler: fiber stack mprotect failed");
-    }
-    auto* f = new Fiber;
-    f->pool = this;
-    f->rank = rank;
-    f->clock = clock;
-    f->map_base = base;
-    f->map_bytes = total;
-    f->usable = usable;
-#ifdef CA_TSAN_FIBERS
-    f->tsan_fiber = __tsan_create_fiber(0);
-#endif
-    getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = static_cast<char*>(base) + page;
-    f->ctx.uc_stack.ss_size = usable;
-    f->ctx.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(f);
-    makecontext(&f->ctx, reinterpret_cast<void (*)()>(&fiber_trampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffu));
+  Fiber* try_pop() {
+    std::lock_guard<SpinLock> lk(qlock_);
+    Fiber* f = head_;
+    if (f == nullptr) return nullptr;
+    head_ = f->ready_next;
+    if (head_ == nullptr) tail_ = nullptr;
+    nready_.fetch_sub(1, std::memory_order_relaxed);
     return f;
   }
 
-  void destroy_fiber(Fiber* f) {
-#ifdef CA_TSAN_FIBERS
-    __tsan_destroy_fiber(f->tsan_fiber);
-#endif
-    munmap(f->map_base, f->map_bytes);
-    delete f;
-  }
-
+  /// The next ready fiber, or nullptr once every fiber has finished. Spins
+  /// on the ready count for kIdleSpins pauses, then sleeps.
   Fiber* pop_ready() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return done_ || !ready_.empty(); });
-    if (ready_.empty()) return nullptr;  // done_: every fiber finished
-    Fiber* f = ready_.front();
-    ready_.pop_front();
-    return f;
+    for (;;) {
+      for (int i = 0; i < kIdleSpins; ++i) {
+        if (nready_.load(std::memory_order_relaxed) > 0) {
+          if (Fiber* f = try_pop()) return f;
+        } else if (done_.load(std::memory_order_acquire)) {
+          return nullptr;
+        }
+        cpu_relax();
+      }
+      asleep_.fetch_add(1);
+      {
+        std::unique_lock<std::mutex> lk(sleep_mu_);
+        sleep_cv_.wait(lk, [&] { return nready_.load() > 0 || done_.load(); });
+      }
+      asleep_.fetch_sub(1);
+    }
   }
 
   /// Switch into `f` on this worker thread and come back when it parks or
@@ -213,7 +520,7 @@ class Pool {
   /// bound here on the way in, cleared on the way out, so traces and memory
   /// attribution survive migration across workers.
   void resume(Fiber* f) {
-    ucontext_t worker_ctx;
+    Context worker_ctx;
     f->return_ctx = &worker_ctx;
     f->state.store(kRunning, std::memory_order_relaxed);
     tls_fiber() = f;
@@ -224,11 +531,9 @@ class Pool {
 #endif
 #ifdef CA_ASAN_FIBERS
     void* worker_fake = nullptr;
-    __sanitizer_start_switch_fiber(
-        &worker_fake, static_cast<char*>(f->map_base) + page_size(),
-        f->usable);
+    __sanitizer_start_switch_fiber(&worker_fake, f->stack_lo, usable_);
 #endif
-    swapcontext(&worker_ctx, &f->ctx);
+    context_switch(worker_ctx, f->ctx);
 #ifdef CA_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(worker_fake, nullptr, nullptr);
 #endif
@@ -240,11 +545,12 @@ class Pool {
     while (Fiber* f = pop_ready()) {
       resume(f);
       if (f->finished) {
-        destroy_fiber(f);
-        std::lock_guard<std::mutex> lk(mu_);
-        if (--live_ == 0) {
-          done_ = true;
-          cv_.notify_all();
+        if (live_.fetch_sub(1) == 1) {
+          {
+            std::lock_guard<std::mutex> lk(sleep_mu_);
+            done_.store(true);
+          }
+          sleep_cv_.notify_all();
         }
       } else {
         // Complete the park handshake: the fiber enqueued itself on a wait
@@ -252,28 +558,33 @@ class Pool {
         // kReady, the wake happened mid-switch and re-queueing is our job.
         int expected = kRunning;
         if (!f->state.compare_exchange_strong(expected, kParked)) {
-          push_ready(f);
+          push_ready(f, f, 1);
         }
       }
     }
   }
 
   int nworkers_;
-  std::size_t stack_bytes_;
+  std::size_t usable_;
   const std::function<void(int)>* body_ = nullptr;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Fiber*> ready_;
-  int live_ = 0;
-  bool done_ = false;
+  alignas(kCacheLine) SpinLock qlock_;
+  Fiber* head_ = nullptr;  // ready FIFO, guarded by qlock_
+  Fiber* tail_ = nullptr;
+  std::atomic<int> nready_{0};  // entries in the ready FIFO
+
+  alignas(kCacheLine) std::atomic<int> live_{0};  // fibers not yet finished
+  std::atomic<int> asleep_{0};  // workers inside the sleep path
+  std::atomic<bool> done_{false};
+
+  alignas(kCacheLine) std::mutex sleep_mu_;
+  std::condition_variable sleep_cv_;
 };
 
 namespace {
 
-void fiber_trampoline(unsigned hi, unsigned lo) {
-  auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                     static_cast<std::uintptr_t>(lo));
+void fiber_entry(void* arg) {
+  auto* f = static_cast<Fiber*>(arg);
 #ifdef CA_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(nullptr, &f->from_lo, &f->from_size);
 #endif
@@ -286,7 +597,7 @@ void fiber_trampoline(unsigned hi, unsigned lo) {
   // nullptr slot: this fiber is dying, release its fake stack.
   __sanitizer_start_switch_fiber(nullptr, f->from_lo, f->from_size);
 #endif
-  swapcontext(&f->ctx, f->return_ctx);  // never returns
+  context_switch(f->ctx, *f->return_ctx);  // never returns
 }
 
 #if defined(CA_ASAN_FIBERS) || defined(CA_TSAN_FIBERS)
@@ -317,7 +628,9 @@ void TaskScheduler::run(int n, const std::function<void(int)>& body,
   const int workers = worker_count(opts.workers, n);
   std::size_t stack =
       opts.stack_bytes > 0 ? opts.stack_bytes : detail::kDefaultStackBytes;
-  if (stack < detail::kMinStackBytes) stack = detail::kMinStackBytes;
+  stack = std::max(stack, detail::kMinStackBytes);
+  const std::size_t page = detail::page_size();
+  stack = (stack + page - 1) / page * page;
   detail::Pool pool(workers, stack);
   pool.run(n, body, clock_of);
 }
@@ -353,16 +666,29 @@ void TaskScheduler::notify_queue(TaskWaitQueue& q) {
   detail::Fiber* f = q.head_;
   q.head_ = nullptr;
   q.tail_ = nullptr;
+  // Chain the fibers this call must re-queue and push them in one batch. A
+  // wait queue belongs to one cluster, whose runs never overlap, so all its
+  // fibers share one pool.
+  detail::Fiber* first = nullptr;
+  detail::Fiber* last = nullptr;
+  int count = 0;
   while (f != nullptr) {
     detail::Fiber* next = f->next;
     f->next = nullptr;
     // kParked -> we own the re-queue. kRunning -> the fiber is still
     // switching out; its worker's CAS will fail and re-queue it instead.
     if (f->state.exchange(detail::kReady) == detail::kParked) {
-      f->pool->push_ready(f);
+      if (first == nullptr) {
+        first = f;
+      } else {
+        last->ready_next = f;
+      }
+      last = f;
+      ++count;
     }
     f = next;
   }
+  if (first != nullptr) first->pool->push_ready(first, last, count);
 }
 
 }  // namespace ca::sim

@@ -2,20 +2,28 @@
 // tasks backend must be observationally identical to the thread-per-rank
 // oracle — bit-identical losses, simulated clocks, interconnect bytes, and
 // trace summaries — across world sizes, worker counts, and fault scenarios,
-// plus a 1024-rank smoke test with a wall-time ceiling, the knob-parsing
-// surface (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers), and
-// the CPU thread budget Cluster::run hands each rank (ThreadBudget.*).
+// plus a 1024-rank smoke test with a wall-time ceiling, a park/wake stress
+// over overlapping groups, the fiber context itself (FP control state,
+// recycled stacks, the guard page), the knob-parsing surface
+// (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers), and the CPU
+// thread budget Cluster::run hands each rank (ThreadBudget.*).
 
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cfenv>
 #include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -30,6 +38,10 @@
 #include "sim/cluster.hpp"
 #include "sim/scheduler.hpp"
 #include "tensor/parallel.hpp"
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 namespace col = ca::collective;
 namespace core = ca::core;
@@ -300,6 +312,240 @@ TEST(BackendScale, Smoke1024RankAllReduceUnderWallCeiling) {
   }
   EXPECT_GT(cluster.max_clock(), 0.0);
   EXPECT_LT(wall, 30.0) << "1024-rank all-reduce took " << wall << " s";
+}
+
+// ---- park/wake stress -------------------------------------------------------
+
+namespace {
+
+/// Per-rank clocks and interconnect bytes after `iters` rounds of accounting
+/// collectives over the row and column groups of an 8x8 grid (Table 3's 2D
+/// pattern): every rank parks on two overlapping groups in alternation, so
+/// wakes from row and column generations interleave on the ready queue.
+RunResult run_grid_stress(sim::SimBackend backend, int workers, int iters) {
+  constexpr int kSide = 8;
+  sim::Cluster cluster(sim::Topology::system_iv(kSide * kSide));
+  cluster.set_backend(backend);
+  cluster.set_workers(workers);
+  col::Backend be(cluster);
+  std::vector<col::Group*> rows, cols;
+  for (int i = 0; i < kSide; ++i) {
+    std::vector<int> row, column;
+    for (int j = 0; j < kSide; ++j) {
+      row.push_back(i * kSide + j);
+      column.push_back(j * kSide + i);
+    }
+    rows.push_back(&be.create_group(row, "row"));
+    cols.push_back(&be.create_group(column, "col"));
+  }
+  cluster.run([&](int r) {
+    col::Group& row = *rows[static_cast<std::size_t>(r / kSide)];
+    col::Group& column = *cols[static_cast<std::size_t>(r % kSide)];
+    for (int it = 0; it < iters; ++it) {
+      // Uneven compute, so which rank arrives last changes every round.
+      cluster.device(r).advance_clock(1e-6 * ((r * 7 + it) % 5 + 1));
+      const std::int64_t bytes = std::int64_t{1024} << (it % 12);
+      row.account_broadcast(r, bytes);
+      column.account_reduce(r, bytes);
+      row.account_all_reduce(r, bytes / 2);
+      column.barrier(r);
+    }
+  });
+  RunResult res;
+  for (int r = 0; r < kSide * kSide; ++r) {
+    res.clocks.push_back(cluster.device(r).clock());
+    res.bytes.push_back(cluster.device(r).bytes_sent());
+  }
+  return res;
+}
+
+}  // namespace
+
+TEST(BackendStress, GridRowColumnParksMatchThreadsBitwise) {
+  // 250 rounds x 4 rendezvous: 1000 barrier generations on each of the 16
+  // groups, every one parking and waking all eight members.
+  constexpr int kIters = 250;
+  const auto oracle = run_grid_stress(sim::SimBackend::kThreads, 0, kIters);
+  for (const int workers : {1, 2, 4}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto probe =
+        run_grid_stress(sim::SimBackend::kTasks, workers, kIters);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    for (std::size_t r = 0; r < oracle.clocks.size(); ++r) {
+      EXPECT_EQ(oracle.clocks[r], probe.clocks[r])
+          << "workers " << workers << " rank " << r;
+      EXPECT_EQ(oracle.bytes[r], probe.bytes[r])
+          << "workers " << workers << " rank " << r;
+    }
+    EXPECT_LT(wall, 60.0) << "workers " << workers << " took " << wall << " s";
+  }
+}
+
+// ---- fiber context ----------------------------------------------------------
+
+namespace {
+
+#if defined(__x86_64__)
+constexpr unsigned kMxcsrFtz = 0x8000;  // flush-to-zero
+void set_ftz(bool on) {
+  _mm_setcsr(on ? (_mm_getcsr() | kMxcsrFtz) : (_mm_getcsr() & ~kMxcsrFtz));
+}
+bool ftz_on() { return (_mm_getcsr() & kMxcsrFtz) != 0; }
+#else
+void set_ftz(bool) {}
+bool ftz_on() { return false; }
+#endif
+
+/// The FP control state as the arithmetic sees it: the rounding mode
+/// (1 + 1e-8 rounds up only under FE_UPWARD) and flush-to-zero (a denormal
+/// product survives only without it).
+struct FpState {
+  int round = 0;
+  bool rounds_up = false;
+  bool ftz = false;
+  bool flushes = false;
+};
+
+FpState observe_fp() {
+  volatile float one = 1.0f, eps = 1e-8f, tiny = 1e-38f, half = 0.5f;
+  FpState s;
+  s.round = std::fegetround();
+  s.rounds_up = one + eps > 1.0f;
+  s.ftz = ftz_on();
+  s.flushes = tiny * half == 0.0f;
+  return s;
+}
+
+}  // namespace
+
+TEST(BackendFiber, FpControlStateTravelsWithTheFiber) {
+  const FpState defaults = observe_fp();
+  ASSERT_EQ(defaults.round, FE_TONEAREST);
+  ASSERT_FALSE(defaults.rounds_up);
+  ASSERT_FALSE(defaults.ftz);
+#if defined(__x86_64__)
+  ASSERT_FALSE(defaults.flushes);
+#endif
+  constexpr int kWorld = 8;
+  for (const int workers : {1, 4}) {
+    sim::Cluster cluster(sim::Topology::uniform(kWorld, 100e9));
+    cluster.set_backend(sim::SimBackend::kTasks);
+    cluster.set_workers(workers);
+    col::Backend be(cluster);
+    auto& g = be.world();
+    std::vector<std::vector<FpState>> seen(kWorld);
+    cluster.run([&](int r) {
+      // Rank 0 changes its FP control state, then every rank parks and
+      // resumes (with 4 workers, possibly elsewhere) several times.
+      if (r == 0) {
+        std::fesetround(FE_UPWARD);
+        set_ftz(true);
+      }
+      for (int round = 0; round < 4; ++round) {
+        g.barrier(r);
+        seen[static_cast<std::size_t>(r)].push_back(observe_fp());
+      }
+    });
+    for (int r = 0; r < kWorld; ++r) {
+      for (const FpState& s : seen[static_cast<std::size_t>(r)]) {
+        const std::string where =
+            "workers " + std::to_string(workers) + " rank " + std::to_string(r);
+        if (r == 0) {
+          EXPECT_EQ(s.round, FE_UPWARD) << where;
+          EXPECT_TRUE(s.rounds_up) << where;
+#if defined(__x86_64__)
+          EXPECT_TRUE(s.ftz) << where;
+          EXPECT_TRUE(s.flushes) << where;
+#endif
+        } else {
+          EXPECT_EQ(s.round, defaults.round) << where;
+          EXPECT_EQ(s.rounds_up, defaults.rounds_up) << where;
+          EXPECT_EQ(s.ftz, defaults.ftz) << where;
+          EXPECT_EQ(s.flushes, defaults.flushes) << where;
+        }
+      }
+    }
+    // The calling thread never ran the fiber and keeps its own state.
+    const FpState after = observe_fp();
+    EXPECT_EQ(after.round, defaults.round);
+    EXPECT_EQ(after.ftz, defaults.ftz);
+  }
+}
+
+namespace {
+
+/// Each rank's frame address inside one run: equal sets across two runs
+/// mean the second run got the first run's stacks back.
+std::vector<std::uintptr_t> rank_frames(sim::Cluster& cluster) {
+  std::vector<std::uintptr_t> frames(
+      static_cast<std::size_t>(cluster.world_size()));
+  cluster.run([&](int r) {
+    frames[static_cast<std::size_t>(r)] =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  });
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+/// Recurses until the stack runs out; the depth bound only keeps the
+/// compiler from proving the recursion infinite.
+__attribute__((noinline)) int recurse(int depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return 0;
+  return recurse(depth + 1) + pad[0];
+}
+
+/// Killed by SIGSEGV natively; under a sanitizer, its SEGV report exits
+/// non-zero instead.
+bool died_of_overflow(int status) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return !(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+#else
+  return testing::KilledBySignal(SIGSEGV)(status);
+#endif
+}
+
+}  // namespace
+
+TEST(BackendStack, StacksAreRecycledAcrossRuns) {
+  sim::Cluster cluster(sim::Topology::uniform(16, 100e9));
+  cluster.set_backend(sim::SimBackend::kTasks);
+  cluster.set_workers(2);
+  const auto first = rank_frames(cluster);
+  EXPECT_EQ(rank_frames(cluster), first);
+}
+
+TEST(FiberGuard, OverflowDiesWithSigsegvOnFreshAndRecycledStacks) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EnvGuard be("CA_SIM_BACKEND", "tasks");
+  EnvGuard kb("CA_SIM_STACK_KB", "64");
+  EnvGuard wk("CA_SIM_WORKERS", "2");
+  // Fresh stacks: the free list of 64 KiB stacks starts empty in the child.
+  EXPECT_EXIT(
+      {
+        sim::Cluster cluster(sim::Topology::uniform(4, 100e9));
+        cluster.run([](int r) {
+          if (r == 1) recurse(0);
+        });
+        std::exit(0);
+      },
+      died_of_overflow, "");
+  // Recycled stacks: the second run must get the first run's stacks back
+  // (exit 3 otherwise), and the guard page below each must still trap.
+  EXPECT_EXIT(
+      {
+        sim::Cluster cluster(sim::Topology::uniform(4, 100e9));
+        const auto first = rank_frames(cluster);
+        if (rank_frames(cluster) != first) std::exit(3);
+        cluster.run([](int r) {
+          if (r == 1) recurse(0);
+        });
+        std::exit(0);
+      },
+      died_of_overflow, "");
 }
 
 // ---- knobs ------------------------------------------------------------------
