@@ -89,6 +89,7 @@ TwoLevelPlan plan_two_level(const sim::Topology& topo,
   TwoLevelPlan plan;
   const int p = static_cast<int>(ranks.size());
   if (p < 2) return plan;
+  plan.ring_bw = topo.ring_bottleneck(ranks);
 
   // Real node partition first: member i goes to the block of its device's
   // node. Blocks keyed (and therefore ordered) by node index.

@@ -47,9 +47,12 @@ struct TwoLevelPlan {
   std::vector<std::vector<int>> blocks;
   std::vector<int> leaders;  ///< first (lowest) member index of each block
   bool by_node = false;      ///< blocks follow real topology nodes
-  /// Slowest link on each block's ring and on the leader ring (0 for a ring
-  /// of fewer than two), fixed by the topology, so plan_two_level prices
-  /// them once instead of the cost model on every call.
+  /// Slowest link on the ring over the whole group, on each block's ring
+  /// and on the leader ring (0 for a ring of fewer than two), fixed by the
+  /// topology, so plan_two_level prices them once instead of the cost model
+  /// on every call. `ring_bw` is set for every group of two or more, viable
+  /// plan or not.
+  double ring_bw = 0.0;
   std::vector<double> block_ring_bw;
   double leader_ring_bw = 0.0;
 
@@ -64,9 +67,10 @@ struct TwoLevelPlan {
   [[nodiscard]] std::vector<int> owner_permutation() const;
 };
 
-/// Partition `ranks` (group members, by global rank) into a two-level plan.
-/// Returns a non-viable plan when the group cannot benefit: a single node
-/// with multi-GPU nodes, or fewer than 4 members on a flat fabric.
+/// Partition `ranks` (group members, by global rank) into a two-level plan
+/// and price its rings. Returns a non-viable plan (still carrying `ring_bw`)
+/// when the group cannot benefit: a single node with multi-GPU nodes, or
+/// fewer than 4 members on a flat fabric.
 TwoLevelPlan plan_two_level(const sim::Topology& topo,
                             std::span<const int> ranks);
 

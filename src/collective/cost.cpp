@@ -63,14 +63,10 @@ double hierarchical_time(Op op, const TwoLevelPlan& plan, double b,
 
 }  // namespace
 
-double collective_time(Op op, const sim::Topology& topo,
-                       std::span<const int> ranks, std::int64_t bytes) {
-  const auto p = static_cast<double>(ranks.size());
-  if (ranks.size() < 2 || bytes == 0) return 0.0;
-  const double bw = topo.ring_bottleneck(ranks);
-  const double alpha = topo.latency();
-  const double b = static_cast<double>(bytes);
+namespace {
 
+/// The single-level formulas: `p` members whose slowest ring link is `bw`.
+double flat_time(Op op, double p, double alpha, double b, double bw) {
   switch (op) {
     case Op::kAllReduce:
       // ring: 2(p-1) steps of b/p each
@@ -93,6 +89,15 @@ double collective_time(Op op, const sim::Topology& topo,
   return 0.0;
 }
 
+}  // namespace
+
+double collective_time(Op op, const sim::Topology& topo,
+                       std::span<const int> ranks, std::int64_t bytes) {
+  if (ranks.size() < 2 || bytes == 0) return 0.0;
+  return flat_time(op, static_cast<double>(ranks.size()), topo.latency(),
+                   static_cast<double>(bytes), topo.ring_bottleneck(ranks));
+}
+
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
                        const TwoLevelPlan& plan) {
@@ -100,13 +105,16 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
   if (ranks.size() < 2 || bytes == 0) return 0.0;
   const double alpha = topo.latency();
   const double b = static_cast<double>(bytes);
+  // The group's ring, priced once by plan_two_level; a hand-made plan
+  // (no ring_bw) is priced here.
+  const double bw =
+      plan.ring_bw > 0.0 ? plan.ring_bw : topo.ring_bottleneck(ranks);
 
   switch (algo) {
     case Algo::kChunked:
-      return collective_time(op, topo, ranks, bytes);
+      return flat_time(op, p, alpha, b, bw);
 
     case Algo::kRing: {
-      const double bw = topo.ring_bottleneck(ranks);
       const auto k = static_cast<double>(ring_pipeline_chunks(bytes));
       switch (op) {
         case Op::kAllReduce:
@@ -118,17 +126,16 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
         case Op::kAllGather:
           return ((p - 1.0) + k - 1.0) * (alpha + b / p / k / bw);
         default:
-          return collective_time(op, topo, ranks, bytes);
+          return flat_time(op, p, alpha, b, bw);
       }
     }
 
     case Algo::kHierarchical:
-      if (!plan.viable()) return collective_time(op, topo, ranks, bytes);
+      if (!plan.viable()) return flat_time(op, p, alpha, b, bw);
       return hierarchical_time(op, plan, b, alpha);
 
     case Algo::kSingleRoot: {
       // Latency-optimal binary tree; the slowest group link bounds each hop.
-      const double bw = topo.ring_bottleneck(ranks);
       const auto hops = static_cast<double>(ceil_log2(static_cast<int>(p)));
       switch (op) {
         case Op::kAllReduce:
@@ -137,7 +144,7 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
         case Op::kReduce:
           return hops * (alpha + b / bw);
         default:
-          return collective_time(op, topo, ranks, bytes);
+          return flat_time(op, p, alpha, b, bw);
       }
     }
   }

@@ -54,7 +54,10 @@ double collective_time(Op op, const sim::Topology& topo,
 ///                   bottleneck + inter-block exchange over leaders at the
 ///                   leader-ring bottleneck, phases taken from `plan`
 ///   kSingleRoot   — latency-optimal binary tree (small messages)
-/// `plan` may be a non-viable plan for non-hierarchical algorithms.
+/// `plan` is plan_two_level(topo, ranks), which carries the group's ring
+/// bottleneck priced once; a default-constructed plan has none, and the
+/// ring is priced per call. It may be non-viable for non-hierarchical
+/// algorithms.
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
                        const TwoLevelPlan& plan);

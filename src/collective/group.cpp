@@ -89,9 +89,12 @@ Group::Group(sim::Cluster& cluster, std::vector<int> ranks, std::string name,
   for (auto& slot : ptrs_) slot.assign(ranks_.size(), nullptr);
   for (auto& slot : counts_) slot.assign(ranks_.size(), 0);
   for (auto& slot : clocks_) slot.assign(ranks_.size(), 0.0);
-  index_.reserve(ranks_.size());
+  const auto [lo, hi] = std::minmax_element(ranks_.begin(), ranks_.end());
+  index_base_ = *lo;
+  index_.assign(static_cast<std::size_t>(*hi - *lo) + 1, -1);
   for (std::size_t i = 0; i < ranks_.size(); ++i) {
-    index_.emplace(ranks_[i], static_cast<int>(i));
+    index_[static_cast<std::size_t>(ranks_[i] - index_base_)] =
+        static_cast<int>(i);
   }
   // Pre-size the scratch arena from the world size so the first large
   // collective at P=1024 doesn't pay a reallocation storm inside
@@ -181,9 +184,9 @@ void Group::reduce_members(int slot, std::int64_t src, float* dst,
   });
 }
 
-double Group::settle(int grank, double t_start, Op op, Algo algo,
+double Group::settle(int grank, int idx, double t_start, Op op, Algo algo,
                      std::int64_t bytes, tensor::Dtype wire) {
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
+  auto& me = members_[static_cast<std::size_t>(idx)];
   // Collectives on one group serialize on its comm lane: an op starts no
   // earlier than the previous one finished, even when both were issued
   // asynchronously (every member mirrors the same lane history).
@@ -230,7 +233,7 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
 void Group::barrier(int grank) {
   if (size() == 1) return;
   const int idx = index_of(grank);
-  flush(grank);
+  flush(grank, idx);
   auto& me = members_[static_cast<std::size_t>(idx)];
   if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
     fi->check_alive(grank, cluster_.device(grank).clock());
@@ -383,7 +386,7 @@ double Group::run_collective(int grank, Op op, const float* in,
     }
   }
 
-  return settle(grank, tok.t_start, op, algo, sched.bytes, wire);
+  return settle(grank, idx, tok.t_start, op, algo, sched.bytes, wire);
 }
 
 // ---- blocking collectives ---------------------------------------------------
@@ -620,9 +623,9 @@ void Group::drain_until(int grank, const detail::AsyncOpState* target) {
   }
 }
 
-void Group::flush(int grank) {
+void Group::flush(int grank, int idx) {
   if (size() == 1) return;
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
+  auto& me = members_[static_cast<std::size_t>(idx)];
   while (!me.pending.empty()) {
     run_pending(grank, me.pending.front());
     me.pending.pop_front();
@@ -633,8 +636,8 @@ void Group::flush(int grank) {
 
 void Group::account(int grank, Op op, std::int64_t bytes) {
   if (size() == 1) return;
-  flush(grank);
   const int idx = index_of(grank);
+  flush(grank, idx);
   auto& me = members_[static_cast<std::size_t>(idx)];
   if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
     fi->check_alive(grank, cluster_.device(grank).clock());
@@ -646,7 +649,8 @@ void Group::account(int grank, Op op, std::int64_t bytes) {
   // Same selector as the functional path, so the accounting twin charges
   // exactly what the matching data-moving call would.
   const Algo algo = selector_.select(op, bytes, cluster_.topology(), ranks_, plan_);
-  cluster_.device(grank).set_clock(settle(grank, tok.t_start, op, algo, bytes));
+  cluster_.device(grank).set_clock(
+      settle(grank, idx, tok.t_start, op, algo, bytes));
 }
 
 void Group::account_all_reduce(int grank, std::int64_t bytes) {

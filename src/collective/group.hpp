@@ -5,9 +5,9 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "collective/algo.hpp"
@@ -131,9 +131,19 @@ class Group {
   [[nodiscard]] sim::Cluster& cluster() { return cluster_; }
   [[nodiscard]] int size() const { return static_cast<int>(ranks_.size()); }
   [[nodiscard]] const std::vector<int>& ranks() const { return ranks_; }
-  /// Index of a global rank inside this group.
-  [[nodiscard]] int index_of(int grank) const { return index_.at(grank); }
-  [[nodiscard]] bool contains(int grank) const { return index_.contains(grank); }
+  /// Index of a global rank inside this group; throws std::out_of_range for
+  /// a rank that is not a member.
+  [[nodiscard]] int index_of(int grank) const {
+    const int idx = member_index(grank);
+    if (idx < 0) {
+      throw std::out_of_range("Group " + name_ + ": rank " +
+                              std::to_string(grank) + " is not a member");
+    }
+    return idx;
+  }
+  [[nodiscard]] bool contains(int grank) const {
+    return member_index(grank) >= 0;
+  }
 
   /// The two-level (intra-node / inter-node) partition of this group's ranks;
   /// non-viable when the group cannot benefit from hierarchical collectives.
@@ -211,7 +221,7 @@ class Group {
   /// Execute every pending async op of this member (without charging the
   /// device clock — only wait() does that). Implicit before any blocking
   /// collective, so async and blocking ops stay globally ordered.
-  void flush(int grank);
+  void flush(int grank) { flush(grank, index_of(grank)); }
 
   // ---- cost-model-only twins (no data movement) ---------------------------
 
@@ -297,11 +307,20 @@ class Group {
   /// Execute this member's pending ops until `target` is done.
   void drain_until(int grank, const detail::AsyncOpState* target);
 
-  /// Clock/byte accounting once per call: start no earlier than the group's
-  /// comm-lane availability, advance the lane, charge algorithm-aware bytes,
-  /// emit the algorithm-tagged comm span, and return the op's completion
-  /// time.
-  double settle(int grank, double t_start, Op op, Algo algo,
+  /// Member index of a global rank, or -1 for a non-member.
+  [[nodiscard]] int member_index(int grank) const {
+    const auto k = static_cast<std::size_t>(grank - index_base_);
+    return k < index_.size() ? index_[k] : -1;
+  }
+
+  /// flush() for member `idx` (= index_of(grank)), already looked up.
+  void flush(int grank, int idx);
+
+  /// Clock/byte accounting once per call for member `idx` (= index_of(grank)):
+  /// start no earlier than the group's comm-lane availability, advance the
+  /// lane, charge algorithm-aware bytes, emit the algorithm-tagged comm
+  /// span, and return the op's completion time.
+  double settle(int grank, int idx, double t_start, Op op, Algo algo,
                 std::int64_t bytes,
                 tensor::Dtype wire = tensor::Dtype::kF32);
   void account(int grank, Op op, std::int64_t bytes);
@@ -309,7 +328,10 @@ class Group {
   sim::Cluster& cluster_;
   std::vector<int> ranks_;
   std::string name_;
-  std::unordered_map<int, int> index_;
+  // Dense global-rank -> member-index map over [index_base_, max rank],
+  // -1 for ranks in that range that are not members.
+  int index_base_ = 0;
+  std::vector<int> index_;
   sim::AbortableBarrier barrier_;
 
   // The group's two-level topology partition and hierarchical chunk-owner

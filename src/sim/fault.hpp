@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -269,16 +270,24 @@ class FaultState {
 /// by a FaultState: when any rank aborts the SPMD region, every rank blocked
 /// here (and every later arrival) throws RendezvousAborted instead of
 /// waiting forever on the dead member. With a null FaultState it degrades to
-/// a plain generation-counting barrier. Blocking goes through SimCv, so under
-/// the tasks backend a waiting rank parks its fiber and yields the worker
-/// instead of blocking an OS thread.
+/// a plain generation-counting barrier.
+///
+/// The arrival count, the fiber waiter list and the OS-waiter count live
+/// under a short spin lock; the generation is an atomic the last arrival advances (release)
+/// under that lock before it wakes anyone. A waiting fiber parks on the
+/// scheduler and, once woken, returns as soon as an acquire load shows the
+/// generation moved: it never takes the lock again on the normal path. Only
+/// an abort (or a spurious wake) re-locks, to withdraw the arrival or park
+/// again. A waiting OS thread (threads backend) blocks in the kernel on a
+/// condition variable whose mutex only ever orders its predicate against a
+/// wake, so it never spins (see DESIGN.md section 8).
 class AbortableBarrier {
  public:
   AbortableBarrier(std::ptrdiff_t n, FaultState* fs) : n_(n), fs_(fs) {
     if (fs_ != nullptr) {
       fs_->register_waker(this, [this] {
-        std::lock_guard<std::mutex> lk(mu_);
-        cv_.notify_all();
+        lock_.lock();
+        release_waiters();
       });
     }
   }
@@ -289,32 +298,90 @@ class AbortableBarrier {
   AbortableBarrier& operator=(const AbortableBarrier&) = delete;
 
   void arrive_and_wait() {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (fs_ != nullptr && fs_->aborted()) throw RendezvousAborted{};
-    if (++count_ == n_) {
-      count_ = 0;
-      ++gen_;
-      cv_.notify_all();
-      return;
-    }
-    const std::uint64_t my_gen = gen_;
-    cv_.wait(lk, [&] {
-      return gen_ != my_gen || (fs_ != nullptr && fs_->aborted());
-    });
-    if (gen_ == my_gen) {
-      // Aborted before the barrier filled: withdraw our arrival so the
-      // count stays consistent for any thread still unwinding through here.
-      --count_;
+    const bool fiber = TaskScheduler::on_fiber();
+    lock_.lock();
+    if (aborted()) {
+      lock_.unlock();
       throw RendezvousAborted{};
     }
+    if (++count_ == n_) {
+      count_ = 0;
+      gen_.store(gen_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
+      release_waiters();
+      return;
+    }
+    const std::uint64_t my_gen = gen_.load(std::memory_order_relaxed);
+    if (fiber) {
+      for (;;) {
+        TaskScheduler::park(lock_, fibers_);  // releases lock_
+        if (gen_.load(std::memory_order_acquire) != my_gen) return;
+        // Woken with the generation unchanged: an abort, or spurious.
+        lock_.lock();
+        if (gen_.load(std::memory_order_relaxed) != my_gen) {
+          lock_.unlock();
+          return;
+        }
+        if (aborted()) {
+          withdraw();
+          throw RendezvousAborted{};
+        }
+      }
+    }
+    ++os_waiters_;
+    lock_.unlock();
+    {
+      std::unique_lock<std::mutex> lk(os_mu_);
+      os_cv_.wait(lk, [&] {
+        return gen_.load(std::memory_order_acquire) != my_gen || aborted();
+      });
+    }
+    lock_.lock();
+    --os_waiters_;
+    if (gen_.load(std::memory_order_relaxed) == my_gen) {
+      withdraw();
+      throw RendezvousAborted{};
+    }
+    lock_.unlock();
   }
 
  private:
-  std::ptrdiff_t n_, count_ = 0;
-  std::uint64_t gen_ = 0;
-  FaultState* fs_;
-  std::mutex mu_;
-  SimCv cv_;
+  [[nodiscard]] bool aborted() const {
+    return fs_ != nullptr && fs_->aborted();
+  }
+
+  /// Aborted before the barrier filled: take back our arrival so the count
+  /// stays consistent for any rank still unwinding through here. Called
+  /// with lock_ held; releases it.
+  void withdraw() {
+    --count_;
+    lock_.unlock();
+  }
+
+  /// Wake every waiter. Called with lock_ held; detaches the fiber list and
+  /// releases lock_ before waking, so woken fibers never find it taken.
+  void release_waiters() {
+    TaskWaitQueue fibers = std::move(fibers_);
+    const bool threads = os_waiters_ > 0;
+    lock_.unlock();
+    if (!fibers.empty()) TaskScheduler::notify_queue(fibers);
+    if (threads) {
+      // An OS waiter checks its predicate under os_mu_, so passing through
+      // os_mu_ after the state change orders this notify after that check.
+      { std::lock_guard<std::mutex> lk(os_mu_); }
+      os_cv_.notify_all();
+    }
+  }
+
+  const std::ptrdiff_t n_;
+  FaultState* const fs_;
+  std::atomic<std::uint64_t> gen_{0};
+  SpinLock lock_;
+  std::ptrdiff_t count_ = 0;  // guarded by lock_, as are the two below
+  TaskWaitQueue fibers_;
+  int os_waiters_ = 0;
+  std::mutex os_mu_;
+  std::condition_variable os_cv_;
 };
 
 }  // namespace ca::sim

@@ -217,15 +217,17 @@ enum FiberState : int { kRunning = 0, kParked = 1, kReady = 2 };
 
 /// Cache-line size. Fibers live in one array per run and their `state` is
 /// written by whichever worker resumes or wakes them, so each fiber gets its
-/// own line; so do the pool's ready-queue and sleep fields. Without it, which
-/// fields share a line depends on where the allocator and the stack put them,
-/// and step time changes from one process to the next.
+/// own line; so does each worker's ready queue and each group of pool
+/// fields. Without it, which fields share a line depends on where the
+/// allocator and the stack put them, and step time changes from one process
+/// to the next.
 constexpr std::size_t kCacheLine = 64;
 
 struct alignas(kCacheLine) Fiber {
   Context ctx;
   Pool* pool = nullptr;
   int rank = -1;
+  int worker = -1;                // index of the worker hosting it, if any
   const double* clock = nullptr;  // bound to obs::ThreadClock while running
   char* stack_lo = nullptr;       // lowest usable byte, above the guard page
   std::atomic<int> state{kReady};
@@ -263,43 +265,13 @@ __attribute__((noinline)) Fiber*& tls_fiber() {
 
 void fiber_entry(void* arg);
 
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Test-and-test-and-set lock for the ready queue, whose critical sections
-/// are a few pointer writes: far shorter than the futex round trip a
-/// contended std::mutex costs.
-class SpinLock {
- public:
-  void lock() {
-    while (locked_.exchange(true, std::memory_order_acquire)) {
-      int spins = 0;
-      while (locked_.load(std::memory_order_relaxed)) {
-        // The holder may have been preempted; stop burning its core.
-        if (++spins % 64 == 0) {
-          std::this_thread::yield();
-        } else {
-          cpu_relax();
-        }
-      }
-    }
-  }
-  void unlock() { locked_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
-/// Pause iterations an idle worker polls the ready count before it sleeps:
+/// Pause iterations an idle worker polls the ready queues before it sleeps:
 /// tens of microseconds on current x86 cores, longer than the gap between a
 /// park and the wake the next rendezvous arrival delivers, shorter than a
 /// scheduler tick.
 constexpr int kIdleSpins = 2000;
+
+std::atomic<std::int64_t> g_threads_started{0};
 
 /// Process-wide free list of fiber stacks, keyed by usable size. A stack is
 /// one mapping: a PROT_NONE guard page at the low end, then `usable`
@@ -381,29 +353,61 @@ class StackCache {
 
 }  // namespace
 
-/// One TaskScheduler::run invocation: the worker threads, the ready queue,
-/// and the fibers' lifetime. Static entry points reach the pool through the
-/// current fiber's back-pointer.
+/// One worker's ready FIFO, intrusive through Fiber::ready_next, on its own
+/// cache line. `size` is written under the lock and polled without it.
+struct alignas(kCacheLine) ReadyQueue {
+  SpinLock lock;
+  Fiber* head = nullptr;  // guarded by lock
+  Fiber* tail = nullptr;
+  std::atomic<int> size{0};
+};
+
+/// A fixed set of worker threads, one ready queue each, that hosts one
+/// TaskScheduler::run at a time and outlives it. Between runs the workers
+/// block on `start_cv_`; a run deals its fibers to the queues, bumps
+/// `epoch_` and sleeps until every worker has left the run. Static entry
+/// points reach the pool through the current fiber's back-pointer.
 ///
-/// Ready queue: an intrusive FIFO under a SpinLock, with `nready_` counting
-/// its entries. Idle workers poll `nready_` for kIdleSpins pauses and only
-/// then sleep on `sleep_cv_`, counted in `asleep_`. Lost-wakeup freedom is a
-/// Dekker pair on two sequentially consistent atomics: a pusher increments
-/// `nready_` and then reads `asleep_`; a sleeper increments `asleep_` and
-/// then reads `nready_` under `sleep_mu_`. In the single total order one of
-/// them sees the other's write: either the pusher sees the sleeper and
-/// notifies under `sleep_mu_` (so the notify cannot fall between the
-/// sleeper's check and its wait), or the sleeper sees the work and does not
-/// sleep.
+/// Within a run a worker pops its own queue first, then steals the front
+/// half of the first non-empty queue in the fixed order w+1, w+2, ... (mod
+/// workers). A wake goes to the queue of the worker that delivered it. Idle workers poll the queue sizes
+/// for kIdleSpins pauses and only then sleep on `sleep_cv_`, counted in
+/// `asleep_`. Lost-wakeup freedom is a Dekker pair on sequentially
+/// consistent atomics: a pusher adds to a queue's `size` and then reads
+/// `asleep_`; a sleeper increments `asleep_` and then reads every `size`
+/// under `sleep_mu_`. In the single total order one of them sees the
+/// other's write: either the pusher sees the sleeper and notifies under
+/// `sleep_mu_` (so the notify cannot fall between the sleeper's check and
+/// its wait), or the sleeper sees the work and does not sleep.
 class Pool {
  public:
-  Pool(int workers, std::size_t stack_bytes)
-      : nworkers_(workers), usable_(stack_bytes) {}
+  explicit Pool(int workers)
+      : nworkers_(workers),
+        queues_(std::make_unique<ReadyQueue[]>(
+            static_cast<std::size_t>(workers))) {
+    threads_.reserve(static_cast<std::size_t>(workers));
+    try {
+      for (int w = 0; w < workers; ++w) {
+        threads_.emplace_back([this, w] { worker_main(w); });
+        g_threads_started.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+  ~Pool() { stop(); }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
 
+  [[nodiscard]] int workers() const { return nworkers_; }
+
+  /// Run `n` >= workers() fibers with `usable`-byte stacks to completion.
   void run(int n, const std::function<void(int)>& body,
-           const std::function<const double*(int)>& clock_of) {
-    if (n <= 0) return;
+           const std::function<const double*(int)>& clock_of,
+           std::size_t usable) {
     body_ = &body;
+    usable_ = usable;
     auto& cache = StackCache::instance();
     const std::vector<char*> stacks = cache.acquire(usable_, n);
     auto fibers = std::make_unique<Fiber[]>(static_cast<std::size_t>(n));
@@ -417,20 +421,33 @@ class Pool {
       f.tsan_fiber = __tsan_create_fiber(0);
 #endif
       context_make(f.ctx, f.stack_lo, usable_, &fiber_entry, &f);
-      f.ready_next = r + 1 < n ? &fibers[static_cast<std::size_t>(r) + 1]
-                               : nullptr;
     }
-    head_ = &fibers[0];
-    tail_ = &fibers[static_cast<std::size_t>(n) - 1];
-    nready_.store(n);
-    live_.store(n);
-    {
-      std::vector<std::thread> workers;
-      workers.reserve(static_cast<std::size_t>(nworkers_));
-      for (int w = 0; w < nworkers_; ++w) {
-        workers.emplace_back([this] { worker_loop(); });
+    // Deal the fibers to the workers in contiguous rank blocks.
+    for (int w = 0; w < nworkers_; ++w) {
+      const int lo = w * n / nworkers_;
+      const int hi = (w + 1) * n / nworkers_;
+      ReadyQueue& q = queues_[static_cast<std::size_t>(w)];
+      for (int r = lo; r + 1 < hi; ++r) {
+        fibers[static_cast<std::size_t>(r)].ready_next =
+            &fibers[static_cast<std::size_t>(r) + 1];
       }
-      for (auto& t : workers) t.join();
+      q.head = lo < hi ? &fibers[static_cast<std::size_t>(lo)] : nullptr;
+      q.tail = lo < hi ? &fibers[static_cast<std::size_t>(hi) - 1] : nullptr;
+      q.size.store(hi - lo, std::memory_order_relaxed);
+    }
+    live_.store(n, std::memory_order_relaxed);
+    done_.store(false, std::memory_order_relaxed);
+    // ctl_mu_ publishes the set-up above to the workers, and their last
+    // touches of the run back to this thread.
+    {
+      std::lock_guard<std::mutex> lk(ctl_mu_);
+      ++epoch_;
+      active_ = nworkers_;
+    }
+    start_cv_.notify_all();
+    {
+      std::unique_lock<std::mutex> lk(ctl_mu_);
+      idle_cv_.wait(lk, [&] { return active_ == 0; });
     }
 #ifdef CA_TSAN_FIBERS
     for (int r = 0; r < n; ++r) {
@@ -441,19 +458,20 @@ class Pool {
   }
 
   /// Append the chain first..last (`count` fibers linked by ready_next) to
-  /// the ready queue in one critical section, then wake at most as many
+  /// worker `w`'s queue in one critical section, then wake at most as many
   /// sleeping workers as fibers were pushed.
-  void push_ready(Fiber* first, Fiber* last, int count) {
+  void push_ready(int w, Fiber* first, Fiber* last, int count) {
     last->ready_next = nullptr;
+    ReadyQueue& q = queues_[static_cast<std::size_t>(w)];
     {
-      std::lock_guard<SpinLock> lk(qlock_);
-      if (tail_ != nullptr) {
-        tail_->ready_next = first;
+      std::lock_guard<SpinLock> lk(q.lock);
+      if (q.tail != nullptr) {
+        q.tail->ready_next = first;
       } else {
-        head_ = first;
+        q.head = first;
       }
-      tail_ = last;
-      nready_.fetch_add(count);
+      q.tail = last;
+      q.size.fetch_add(count);
     }
     const int sleeping = asleep_.load();
     if (sleeping > 0) {
@@ -484,44 +502,77 @@ class Pool {
   }
 
  private:
-  Fiber* try_pop() {
-    std::lock_guard<SpinLock> lk(qlock_);
-    Fiber* f = head_;
-    if (f == nullptr) return nullptr;
-    head_ = f->ready_next;
-    if (head_ == nullptr) tail_ = nullptr;
-    nready_.fetch_sub(1, std::memory_order_relaxed);
-    return f;
+  /// Pop the head of worker `w`'s queue. When it is empty, steal the front
+  /// half of the first non-empty queue after it: run its head, and move the
+  /// rest to `w`'s queue, so one steal feeds this worker for several parks.
+  Fiber* try_pop(int w) {
+    ReadyQueue& own = queues_[static_cast<std::size_t>(w)];
+    if (own.size.load(std::memory_order_relaxed) > 0) {
+      std::lock_guard<SpinLock> lk(own.lock);
+      if (Fiber* f = own.head) {
+        own.head = f->ready_next;
+        if (own.head == nullptr) own.tail = nullptr;
+        own.size.fetch_sub(1, std::memory_order_relaxed);
+        return f;
+      }
+    }
+    for (int k = 1; k < nworkers_; ++k) {
+      ReadyQueue& q = queues_[static_cast<std::size_t>((w + k) % nworkers_)];
+      if (q.size.load(std::memory_order_relaxed) == 0) continue;
+      Fiber* first = nullptr;
+      Fiber* last = nullptr;
+      int take = 0;
+      {
+        std::lock_guard<SpinLock> lk(q.lock);
+        const int size = q.size.load(std::memory_order_relaxed);
+        if (size == 0) continue;
+        take = (size + 1) / 2;
+        first = q.head;
+        last = first;
+        for (int i = 1; i < take; ++i) last = last->ready_next;
+        q.head = last->ready_next;
+        if (q.head == nullptr) q.tail = nullptr;
+        q.size.fetch_sub(take, std::memory_order_relaxed);
+      }
+      if (take > 1) push_ready(w, first->ready_next, last, take - 1);
+      return first;
+    }
+    return nullptr;
   }
 
-  /// The next ready fiber, or nullptr once every fiber has finished. Spins
-  /// on the ready count for kIdleSpins pauses, then sleeps.
-  Fiber* pop_ready() {
+  bool any_ready() const {
+    for (int v = 0; v < nworkers_; ++v) {
+      if (queues_[static_cast<std::size_t>(v)].size.load() > 0) return true;
+    }
+    return false;
+  }
+
+  /// The next ready fiber for worker `w`, or nullptr once every fiber of
+  /// the run has finished. Polls for kIdleSpins pauses, then sleeps.
+  Fiber* pop_ready(int w) {
     for (;;) {
       for (int i = 0; i < kIdleSpins; ++i) {
-        if (nready_.load(std::memory_order_relaxed) > 0) {
-          if (Fiber* f = try_pop()) return f;
-        } else if (done_.load(std::memory_order_acquire)) {
-          return nullptr;
-        }
+        if (Fiber* f = try_pop(w)) return f;
+        if (done_.load(std::memory_order_acquire)) return nullptr;
         cpu_relax();
       }
       asleep_.fetch_add(1);
       {
         std::unique_lock<std::mutex> lk(sleep_mu_);
-        sleep_cv_.wait(lk, [&] { return nready_.load() > 0 || done_.load(); });
+        sleep_cv_.wait(lk, [&] { return any_ready() || done_.load(); });
       }
       asleep_.fetch_sub(1);
     }
   }
 
-  /// Switch into `f` on this worker thread and come back when it parks or
+  /// Switch into `f` on worker `w` and come back when it parks or
   /// finishes. The ThreadClock binding travels with the fiber (task-local):
   /// bound here on the way in, cleared on the way out, so traces and memory
   /// attribution survive migration across workers.
-  void resume(Fiber* f) {
+  void resume(int w, Fiber* f) {
     Context worker_ctx;
     f->return_ctx = &worker_ctx;
+    f->worker = w;
     f->state.store(kRunning, std::memory_order_relaxed);
     tls_fiber() = f;
     obs::ThreadClock::bind(f->clock);
@@ -541,9 +592,10 @@ class Pool {
     tls_fiber() = nullptr;
   }
 
-  void worker_loop() {
-    while (Fiber* f = pop_ready()) {
-      resume(f);
+  /// Worker `w`'s share of one run: resume ready fibers until all finished.
+  void work(int w) {
+    while (Fiber* f = pop_ready(w)) {
+      resume(w, f);
       if (f->finished) {
         if (live_.fetch_sub(1) == 1) {
           {
@@ -558,20 +610,45 @@ class Pool {
         // kReady, the wake happened mid-switch and re-queueing is our job.
         int expected = kRunning;
         if (!f->state.compare_exchange_strong(expected, kParked)) {
-          push_ready(f, f, 1);
+          push_ready(w, f, f, 1);
         }
       }
     }
   }
 
-  int nworkers_;
-  std::size_t usable_;
-  const std::function<void(int)>* body_ = nullptr;
+  /// Stop and join every started worker; the pool must be idle.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lk(ctl_mu_);
+      stop_ = true;
+    }
+    start_cv_.notify_all();
+    for (auto& t : threads_) t.join();
+  }
 
-  alignas(kCacheLine) SpinLock qlock_;
-  Fiber* head_ = nullptr;  // ready FIFO, guarded by qlock_
-  Fiber* tail_ = nullptr;
-  std::atomic<int> nready_{0};  // entries in the ready FIFO
+  /// Worker thread body: block until a run starts (or the pool stops),
+  /// work it, report back, repeat.
+  void worker_main(int w) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lk(ctl_mu_);
+        start_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
+        if (stop_) return;
+        seen = epoch_;
+      }
+      work(w);
+      std::lock_guard<std::mutex> lk(ctl_mu_);
+      if (--active_ == 0) idle_cv_.notify_one();
+    }
+  }
+
+  const int nworkers_;
+  std::unique_ptr<ReadyQueue[]> queues_;
+
+  // The current run; written by run() before it starts the workers.
+  const std::function<void(int)>* body_ = nullptr;
+  std::size_t usable_ = 0;
 
   alignas(kCacheLine) std::atomic<int> live_{0};  // fibers not yet finished
   std::atomic<int> asleep_{0};  // workers inside the sleep path
@@ -579,9 +656,63 @@ class Pool {
 
   alignas(kCacheLine) std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
+
+  // Run hand-off between run() and the workers, guarded by ctl_mu_.
+  alignas(kCacheLine) std::mutex ctl_mu_;
+  std::condition_variable start_cv_;  // a run started, or stop_
+  std::condition_variable idle_cv_;   // active_ reached 0
+  std::uint64_t epoch_ = 0;           // runs started
+  int active_ = 0;                    // workers still inside this run
+  bool stop_ = false;
+
+  std::vector<std::thread> threads_;  // last: the workers use every field
 };
 
 namespace {
+
+/// Idle pools, reused by the next run that asks for the same number of
+/// workers. A run takes its pool out of the list for its duration, so
+/// concurrent or nested runs each get their own. Destroyed at exit, which
+/// stops and joins every idle worker.
+class PoolCache {
+ public:
+  static PoolCache& instance() {
+    static PoolCache cache;
+    return cache;
+  }
+
+  std::unique_ptr<Pool> acquire(int workers) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (pid_ != getpid()) {
+        // A forked child inherits the list but not the threads behind it;
+        // keep the dead pools reachable and never touch them again.
+        for (auto& p : idle_) orphans_.push_back(p.release());
+        idle_.clear();
+        pid_ = getpid();
+      }
+      for (auto it = idle_.begin(); it != idle_.end(); ++it) {
+        if ((*it)->workers() == workers) {
+          std::unique_ptr<Pool> p = std::move(*it);
+          idle_.erase(it);
+          return p;
+        }
+      }
+    }
+    return std::make_unique<Pool>(workers);
+  }
+
+  void release(std::unique_ptr<Pool> p) {
+    std::lock_guard<std::mutex> lk(mu_);
+    idle_.push_back(std::move(p));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Pool>> idle_;  // guarded by mu_
+  std::vector<Pool*> orphans_;
+  pid_t pid_ = getpid();
+};
 
 void fiber_entry(void* arg) {
   auto* f = static_cast<Fiber*>(arg);
@@ -631,8 +762,10 @@ void TaskScheduler::run(int n, const std::function<void(int)>& body,
   stack = std::max(stack, detail::kMinStackBytes);
   const std::size_t page = detail::page_size();
   stack = (stack + page - 1) / page * page;
-  detail::Pool pool(workers, stack);
-  pool.run(n, body, clock_of);
+  auto& pools = detail::PoolCache::instance();
+  std::unique_ptr<detail::Pool> pool = pools.acquire(workers);
+  pool->run(n, body, clock_of, stack);
+  pools.release(std::move(pool));
 }
 
 int TaskScheduler::worker_count(int requested, int n) {
@@ -643,29 +776,39 @@ int TaskScheduler::worker_count(int requested, int n) {
   return std::clamp(workers, 1, std::max(1, n));
 }
 
+std::int64_t TaskScheduler::threads_started() {
+  return detail::g_threads_started.load(std::memory_order_relaxed);
+}
+
 bool TaskScheduler::on_fiber() { return detail::tls_fiber() != nullptr; }
+
+void TaskScheduler::enqueue_current(TaskWaitQueue& q) {
+  detail::Fiber* f = detail::tls_fiber();
+  f->next = q.head_;
+  q.head_ = f;
+}
 
 void TaskScheduler::suspend(std::unique_lock<std::mutex>& lk,
                             TaskWaitQueue& q) {
-  detail::Fiber* f = detail::tls_fiber();
   // Enqueue under the caller's mutex: a notifier must hold the same mutex to
   // change the predicate, so it cannot miss us once the state is observable.
-  f->next = nullptr;
-  if (q.tail_ != nullptr) {
-    q.tail_->next = f;
-  } else {
-    q.head_ = f;
-  }
-  q.tail_ = f;
+  enqueue_current(q);
   lk.unlock();
+  detail::Fiber* f = detail::tls_fiber();
   f->pool->yield_current(f);
   lk.lock();
+}
+
+void TaskScheduler::park(SpinLock& guard, TaskWaitQueue& q) {
+  enqueue_current(q);
+  guard.unlock();
+  detail::Fiber* f = detail::tls_fiber();
+  f->pool->yield_current(f);
 }
 
 void TaskScheduler::notify_queue(TaskWaitQueue& q) {
   detail::Fiber* f = q.head_;
   q.head_ = nullptr;
-  q.tail_ = nullptr;
   // Chain the fibers this call must re-queue and push them in one batch. A
   // wait queue belongs to one cluster, whose runs never overlap, so all its
   // fibers share one pool.
@@ -688,7 +831,13 @@ void TaskScheduler::notify_queue(TaskWaitQueue& q) {
     }
     f = next;
   }
-  if (first != nullptr) first->pool->push_ready(first, last, count);
+  if (first == nullptr) return;
+  // Onto the waker's own queue when it is a worker of the same pool: the
+  // woken fibers are likely to touch what the waker just wrote.
+  detail::Fiber* self = detail::tls_fiber();
+  const int w =
+      self != nullptr && self->pool == first->pool ? self->worker : 0;
+  first->pool->push_ready(w, first, last, count);
 }
 
 }  // namespace ca::sim

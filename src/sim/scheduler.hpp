@@ -1,11 +1,14 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 
 namespace ca::sim {
 
@@ -29,29 +32,70 @@ namespace detail {
 struct Fiber;
 }
 
-/// Intrusive FIFO of fibers parked at one blocking point (a SimCv). The
-/// embedding object's mutex guards the queue; the scheduler only touches it
-/// through TaskScheduler::suspend / notify_queue, both called with that mutex
-/// held.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Test-and-test-and-set lock for critical sections of a few pointer and
+/// counter writes (the fiber ready queues, AbortableBarrier): far shorter
+/// than the futex round trip a contended std::mutex costs.
+class SpinLock {
+ public:
+  void lock() {
+    while (locked_.exchange(true, std::memory_order_acquire)) {
+      int spins = 0;
+      while (locked_.load(std::memory_order_relaxed)) {
+        // The holder may have been preempted; stop burning its core.
+        if (++spins % 64 == 0) {
+          std::this_thread::yield();
+        } else {
+          cpu_relax();
+        }
+      }
+    }
+  }
+  void unlock() { locked_.store(false, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> locked_{false};
+};
+
+/// Intrusive list of fibers parked at one blocking point (a SimCv or an
+/// AbortableBarrier). The embedding object's lock guards the queue; the
+/// scheduler only touches it through TaskScheduler::suspend / park /
+/// notify_queue, all called with that lock held. A park pushes at the head,
+/// so it writes only the queue and the parking fiber, never another
+/// waiter's cache line; every wake takes the whole list, so the order does
+/// not matter. Moving a queue takes its fibers and leaves the source empty,
+/// so a waker can detach the waiters under the lock and wake them after
+/// releasing it.
 class TaskWaitQueue {
  public:
   TaskWaitQueue() = default;
   TaskWaitQueue(const TaskWaitQueue&) = delete;
   TaskWaitQueue& operator=(const TaskWaitQueue&) = delete;
+  TaskWaitQueue(TaskWaitQueue&& o) noexcept : head_(o.head_) {
+    o.head_ = nullptr;
+  }
 
   [[nodiscard]] bool empty() const { return head_ == nullptr; }
 
  private:
   friend class TaskScheduler;
   detail::Fiber* head_ = nullptr;
-  detail::Fiber* tail_ = nullptr;
 };
 
 /// The run-to-blocking-point fiber scheduler behind SimBackend::kTasks.
 /// `run` turns each rank into a stackful fiber (mmap'd stack with a guard
 /// page at the low end, reused across runs) and drives all of them on a
-/// fixed pool of worker threads; a fiber that blocks parks itself on a
-/// TaskWaitQueue via SimCv and the worker picks up the next ready fiber.
+/// pool of worker threads that outlives the run: idle pools are kept per
+/// worker count and block between runs. Each worker has its own ready queue
+/// and steals from the others when it runs dry; a fiber that blocks parks
+/// itself on a TaskWaitQueue and the worker picks up the next ready fiber.
 /// Wake-ups use a three-state handshake (running / parked / ready) so a
 /// notifier racing the fiber's switch-out can never lose the wake or resume
 /// a fiber whose stack is still live (see DESIGN.md section 8).
@@ -88,10 +132,26 @@ class TaskScheduler {
   /// returns are possible; callers re-check their predicate.
   static void suspend(std::unique_lock<std::mutex>& lk, TaskWaitQueue& q);
 
-  /// Move every fiber parked on `q` to the ready queue (notify_all). The
-  /// caller holds the mutex guarding `q`; safe from fibers and from plain
-  /// threads alike.
+  /// Park the current fiber on `q`, which `guard` (held on entry) protects,
+  /// and yield the worker. `guard` is released once the fiber is on `q` and
+  /// is NOT re-taken on return; the caller decides from state it can read
+  /// without the lock whether it needs it again. Spurious returns are
+  /// possible.
+  static void park(SpinLock& guard, TaskWaitQueue& q);
+
+  /// Move every fiber parked on `q` to a ready queue (notify_all): that of
+  /// the worker running the caller, or the first worker's when the caller
+  /// is a plain thread. The caller holds the lock guarding `q` (or owns a
+  /// queue detached from it); safe from fibers and from plain threads alike.
   static void notify_queue(TaskWaitQueue& q);
+
+  /// Worker threads started so far by every pool in this process. A run
+  /// that reuses an idle pool starts none.
+  [[nodiscard]] static std::int64_t threads_started();
+
+ private:
+  /// Push the current fiber onto `q`; the caller holds q's lock.
+  static void enqueue_current(TaskWaitQueue& q);
 };
 
 /// Hybrid condition variable for code that must block correctly under both

@@ -3,8 +3,9 @@
 // oracle — bit-identical losses, simulated clocks, interconnect bytes, and
 // trace summaries — across world sizes, worker counts, and fault scenarios,
 // plus a 1024-rank smoke test with a wall-time ceiling, a park/wake stress
-// over overlapping groups, the fiber context itself (FP control state,
-// recycled stacks, the guard page), the knob-parsing surface
+// over overlapping groups, a fail-stop and a foreign-thread abort against
+// parked fibers, worker reuse across runs, the fiber context itself (FP
+// control state, recycled stacks, the guard page), the knob-parsing surface
 // (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers), and the CPU
 // thread budget Cluster::run hands each rank (ThreadBudget.*).
 
@@ -28,6 +29,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "env_guard.hpp"
@@ -380,6 +382,122 @@ TEST(BackendStress, GridRowColumnParksMatchThreadsBitwise) {
           << "workers " << workers << " rank " << r;
     }
     EXPECT_LT(wall, 60.0) << "workers " << workers << " took " << wall << " s";
+  }
+}
+
+// ---- fail-stop, pool reuse and foreign wakes ----------------------------------
+
+TEST(BackendFault, FailStopWhilePeersParkInAGroupBarrier) {
+  // Ranks 0-6 arrive at a group barrier and park; rank 7 waits until all of
+  // them have arrived, then dies at its own arrival. Every survivor must
+  // leave the barrier with CommTimeoutError, and Cluster::run must return
+  // the death, at every worker count.
+  constexpr int kWorld = 8;
+  constexpr int kVictim = kWorld - 1;
+  for (const int workers : {1, 2, 4}) {
+    sim::Cluster cluster(sim::Topology::uniform(kWorld, 100e9));
+    cluster.set_backend(sim::SimBackend::kTasks);
+    cluster.set_workers(workers);
+    sim::FaultPlan plan;
+    plan.fail_stop_at(kVictim, 1.0);
+    cluster.install_faults(plan);
+    col::Backend be(cluster);
+    std::vector<int> members(kWorld);
+    std::iota(members.begin(), members.end(), 0);
+    auto& g = be.create_group(members, "grid");
+    std::atomic<int> arrived{0};
+    std::array<std::atomic<bool>, kWorld> timed_out{};
+    int dead = -1;
+    try {
+      cluster.run([&](int r) {
+        if (r == kVictim) {
+          // Any other worker can run the peers meanwhile; with one worker
+          // they were all dealt ahead of this rank.
+          while (arrived.load() < kWorld - 1) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          cluster.device(r).advance_clock(2.0);
+        } else {
+          arrived.fetch_add(1);
+        }
+        try {
+          g.barrier(r);
+        } catch (const sim::CommTimeoutError&) {
+          timed_out[static_cast<std::size_t>(r)] = true;
+        }
+      });
+    } catch (const sim::DeviceFailure& e) {
+      dead = e.rank();
+    }
+    EXPECT_EQ(dead, kVictim) << "workers " << workers;
+    for (int r = 0; r < kVictim; ++r) {
+      EXPECT_TRUE(timed_out[static_cast<std::size_t>(r)])
+          << "workers " << workers << " rank " << r;
+    }
+  }
+}
+
+TEST(BackendPool, WorkerThreadsAreReusedAcrossRuns) {
+  // One rank per worker, each holding its worker until all four run at
+  // once, so every run observes exactly the pool's four threads.
+  constexpr int kWorkers = 4;
+  sim::Cluster cluster(sim::Topology::uniform(kWorkers, 100e9));
+  cluster.set_backend(sim::SimBackend::kTasks);
+  cluster.set_workers(kWorkers);
+  const auto worker_ids = [&] {
+    std::vector<std::thread::id> ids(kWorkers);
+    std::atomic<int> running{0};
+    cluster.run([&](int r) {
+      ids[static_cast<std::size_t>(r)] = std::this_thread::get_id();
+      running.fetch_add(1);
+      while (running.load() < kWorkers) std::this_thread::yield();
+    });
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto first = worker_ids();
+  const std::int64_t started = sim::TaskScheduler::threads_started();
+  const auto second = worker_ids();
+  EXPECT_EQ(sim::TaskScheduler::threads_started(), started)
+      << "the second run started worker threads";
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(std::adjacent_find(first.begin(), first.end()), first.end())
+      << "two ranks shared a worker while both were running";
+  EXPECT_EQ(std::count(first.begin(), first.end(), std::this_thread::get_id()),
+            0);
+}
+
+TEST(BackendFiber, AbortFromAPlainThreadResumesEveryParkedFiber) {
+  // Ranks 0-6 park in a barrier that rank 7 never reaches; a thread outside
+  // the pool aborts the region. Its wake must resume every parked fiber,
+  // which then leaves through the watchdog.
+  constexpr int kWorld = 8;
+  for (const int workers : {1, 4}) {
+    sim::Cluster cluster(sim::Topology::uniform(kWorld, 100e9));
+    cluster.set_backend(sim::SimBackend::kTasks);
+    cluster.set_workers(workers);
+    col::Backend be(cluster);
+    auto& g = be.world();
+    std::atomic<int> arrived{0};
+    std::array<std::atomic<bool>, kWorld> timed_out{};
+    std::thread aborter([&] {
+      while (arrived.load() < kWorld - 1) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      cluster.fault_state().abort(kWorld - 1, "aborted from outside", false);
+    });
+    cluster.run([&](int r) {
+      if (r == kWorld - 1) return;
+      arrived.fetch_add(1);
+      try {
+        g.barrier(r);
+      } catch (const sim::CommTimeoutError&) {
+        timed_out[static_cast<std::size_t>(r)] = true;
+      }
+    });
+    aborter.join();
+    for (int r = 0; r < kWorld - 1; ++r) {
+      EXPECT_TRUE(timed_out[static_cast<std::size_t>(r)])
+          << "workers " << workers << " rank " << r;
+    }
   }
 }
 
