@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "bench_common.hpp"
 #include "collective/backend.hpp"
 #include "nn/layers.hpp"
@@ -83,6 +86,17 @@ void BM_Gelu(benchmark::State& state) {
 }
 BENCHMARK(BM_Gelu);
 
+void BM_GeluBackward(benchmark::State& state) {
+  auto x = t::randn(t::Shape{1 << 16}, 5);
+  auto dy = t::randn(t::Shape{1 << 16}, 6);
+  for (auto _ : state) {
+    auto dx = t::gelu_backward(x, dy);
+    benchmark::DoNotOptimize(dx.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_GeluBackward);
+
 void BM_AttentionForward(benchmark::State& state) {
   ca::nn::MultiHeadAttention attn("a", 256, 8, 7);
   auto x = t::randn(t::Shape{4, 64, 256}, 8);
@@ -134,6 +148,63 @@ void write_json_report() {
   }
   gemm_row("naive_matmul", 512,
            [](auto& a, auto& b) { return t::naive_matmul(a, b); });
+
+  // The m=32 GEMMs of a pipeline x 1D-TP transformer block (2 x 16 token
+  // rows, hidden 128, TP 2): QKV, attention out, MLP up and MLP down. Each
+  // (m, k, n) runs as NN, NT and TN, with the same operand read transposed.
+  for (const auto& [k, n] : {std::pair<std::int64_t, std::int64_t>{128, 192},
+                            {64, 128},
+                            {128, 256},
+                            {256, 128}}) {
+    const std::int64_t m = 32;
+    const std::string shape = "m=32 k=" + std::to_string(k) +
+                              " n=" + std::to_string(n);
+    const double flops = 2.0 * static_cast<double>(m) * n * k;
+    const auto row = [&](const char* op, const t::Tensor& a,
+                         const t::Tensor& b, auto&& fn) {
+      const double ns = bench::time_ns([&] {
+        auto c = fn(a, b);
+        benchmark::DoNotOptimize(c.data().data());
+      });
+      report.add(op, shape, ns, flops / ns);
+    };
+    row("matmul", t::randn(t::Shape{m, k}, 1), t::randn(t::Shape{k, n}, 2),
+        [](auto& a, auto& b) { return t::matmul(a, b); });
+    row("matmul_nt", t::randn(t::Shape{m, k}, 1), t::randn(t::Shape{n, k}, 2),
+        [](auto& a, auto& b) { return t::matmul_nt(a, b); });
+    row("matmul_tn", t::randn(t::Shape{k, m}, 1), t::randn(t::Shape{k, n}, 2),
+        [](auto& a, auto& b) { return t::matmul_tn(a, b); });
+  }
+
+  {
+    // Attention scores: (batch*heads, s, head_dim) x (batch*heads, s,
+    // head_dim)^T, under the blocked-GEMM cutoff.
+    const std::int64_t batch = 8, m = 16, n = 16, k = 32;
+    auto a = t::randn(t::Shape{batch, m, k}, 3);
+    auto b = t::randn(t::Shape{batch, n, k}, 4);
+    const double ns = bench::time_ns([&] {
+      auto c = t::bmm_nt(a, b);
+      benchmark::DoNotOptimize(c.data().data());
+    });
+    const double flops = 2.0 * static_cast<double>(batch) * m * n * k;
+    report.add("bmm_nt", "8x16x16x32", ns, flops / ns);
+  }
+
+  // Elementwise activations: ns per 65536-element call (no flop count).
+  {
+    auto x = t::randn(t::Shape{1 << 16}, 5);
+    auto dy = t::randn(t::Shape{1 << 16}, 6);
+    report.add("gelu", "65536", bench::time_ns([&] {
+                 auto y = t::gelu(x);
+                 benchmark::DoNotOptimize(y.data().data());
+               }),
+               0.0);
+    report.add("gelu_backward", "65536", bench::time_ns([&] {
+                 auto dx = t::gelu_backward(x, dy);
+                 benchmark::DoNotOptimize(dx.data().data());
+               }),
+               0.0);
+  }
 
   {
     const std::int64_t batch = 8, n = 256;

@@ -111,35 +111,45 @@ Adam::Adam(std::vector<nn::Parameter*> params, Hyper hyper)
 
 void Adam::update_range(std::size_t idx, std::int64_t begin, std::int64_t end) {
   nn::Parameter& p = *params_[idx];
-  auto pv = p.value.data();
-  auto pg = p.grad.data();
-  auto pm = m_[idx].data();
-  auto pvv = v_[idx].data();
+  float* pv = p.value.data().data() + begin;
+  const float* pg = p.grad.data().data() + begin;
+  float* pm = m_[idx].data().data() + begin;
+  float* pvv = v_[idx].data().data() + begin;
   const float b1 = hyper_.beta1, b2 = hyper_.beta2;
   const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
-  // Elementwise-independent; a sqrt and two divides make an element worth
-  // about four simple ones.
-  t::parallel_for(end - begin, t::grain_for(4),
-                  [&](std::int64_t lo, std::int64_t hi) {
+  const float lr = hyper_.lr, eps = hyper_.eps;
+  // L2 decay folds into the gradient, decoupled (AdamW) decay into the
+  // update; a zero coefficient is neither. Resolved here so the loop below
+  // has no branch and vectorizes; each element's arithmetic is unchanged.
+  const float l2 = hyper_.decoupled ? 0.0f : hyper_.weight_decay;
+  const float wd = hyper_.decoupled ? hyper_.weight_decay : 0.0f;
+  const auto run = [&](auto l2_on, auto wd_on) {
+    // Elementwise-independent; a sqrt and two divides make an element worth
+    // about four simple ones.
+    t::parallel_for(end - begin, t::grain_for(4),
+                    [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
-    for (std::int64_t i = begin + lo; i < begin + hi; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      float g = pg[ii];
-      if (hyper_.weight_decay != 0.0f && !hyper_.decoupled) {
-        g += hyper_.weight_decay * pv[ii];
+      for (std::int64_t i = lo; i < hi; ++i) {
+        float g = pg[i];
+        if constexpr (l2_on) g += l2 * pv[i];
+        pm[i] = b1 * pm[i] + (1.0f - b1) * g;
+        pvv[i] = b2 * pvv[i] + (1.0f - b2) * g * g;
+        const float mhat = pm[i] / bc1;
+        const float vhat = pvv[i] / bc2;
+        float update = mhat / (std::sqrt(vhat) + eps);
+        if constexpr (wd_on) update += wd * pv[i];
+        pv[i] -= lr * update;
       }
-      pm[ii] = b1 * pm[ii] + (1.0f - b1) * g;
-      pvv[ii] = b2 * pvv[ii] + (1.0f - b2) * g * g;
-      const float mhat = pm[ii] / bc1;
-      const float vhat = pvv[ii] / bc2;
-      float update = mhat / (std::sqrt(vhat) + hyper_.eps);
-      if (hyper_.weight_decay != 0.0f && hyper_.decoupled) {
-        update += hyper_.weight_decay * pv[ii];
-      }
-      pv[ii] -= hyper_.lr * update;
-    }
-  });
+    });
+  };
+  if (l2 != 0.0f) {
+    run(std::true_type{}, std::false_type{});
+  } else if (wd != 0.0f) {
+    run(std::false_type{}, std::true_type{});
+  } else {
+    run(std::false_type{}, std::false_type{});
+  }
 }
 
 void Adam::step() {

@@ -11,8 +11,11 @@ namespace {
 
 // Register tile: MR rows of C by NR columns, accumulated in (compiler)
 // registers across the full KC depth before touching C — cuts C traffic by
-// a factor of MR versus the naive rank-1-update loop.
-constexpr std::int64_t kMr = 4;
+// a factor of MR versus the naive rank-1-update loop. 8 x 16 is sixteen
+// 8-lane accumulators: enough independent FMA chains to cover the FMA
+// latency on two ports, with room left in the register file for the B row
+// and the A broadcast. A 4-row tile leaves the FMA units half idle.
+constexpr std::int64_t kMr = 8;
 constexpr std::int64_t kNr = 16;
 // Cache blocks: an MC x KC packed A block (L2-resident) is multiplied by a
 // KC x NC packed B panel (streamed NR columns at a time).
@@ -72,9 +75,15 @@ void micro_kernel(std::int64_t kc, const float* apanel, const float* bpanel,
   }
 }
 
-/// Grow-only per-thread packing buffer for A blocks; reused across calls so
-/// the steady-state GEMM path performs no allocation beyond its output.
+/// Grow-only per-thread packing buffers, reused across calls so the
+/// steady-state GEMM path performs no allocation beyond its output. The
+/// calling thread packs B into its own buffer, which the team only reads
+/// during the call; every team thread packs A blocks into its own.
 std::vector<float>& apack_buffer() {
+  static thread_local std::vector<float> buf;
+  return buf;
+}
+std::vector<float>& bpack_buffer() {
   static thread_local std::vector<float> buf;
   return buf;
 }
@@ -89,7 +98,8 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
 
   const std::int64_t row_blocks = (m + kMc - 1) / kMc;
   const std::int64_t nc_max = std::min(n, kNc);
-  std::vector<float> bpack(
+  auto& bpack = bpack_buffer();
+  bpack.resize(
       static_cast<std::size_t>(round_up(nc_max, kNr) * std::min(k, kKc)));
 
   for (std::int64_t jc = 0; jc < n; jc += kNc) {

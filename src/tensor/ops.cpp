@@ -1,8 +1,10 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include "tensor/gemm.hpp"
@@ -278,6 +280,17 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 namespace {
 enum class BmmMode { NN, NT, TN };
 
+/// The (rows, cols) row-major matrix `b` transposed into this thread's
+/// grow-only scratch buffer, valid until the thread's next call.
+const float* transposed(const float* b, std::int64_t rows, std::int64_t cols) {
+  static thread_local std::vector<float> buf;
+  buf.resize(static_cast<std::size_t>(rows * cols));
+  float* dst = buf.data();
+  for (std::int64_t r = 0; r < rows; ++r)
+    for (std::int64_t c = 0; c < cols; ++c) dst[c * rows + r] = b[r * cols + c];
+  return dst;
+}
+
 Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
   assert(a.ndim() == 3 && b.ndim() == 3);
   const std::int64_t batch = a.dim(0);
@@ -326,27 +339,16 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
     for (std::int64_t bt = lo; bt < hi; ++bt) {
       const float* A = pa + bt * a_sz;
       const float* B = pb + bt * b_sz;
+      // NT's B is (n, k); B^T's rows make the j loop contiguous, and each
+      // output still sums over kk in the same order.
+      if (mode == BmmMode::NT) B = transposed(B, n, k);
       float* O = po + bt * m * n;
       for (std::int64_t i = 0; i < m; ++i) {
+        float* orow = O + i * n;
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          float av = 0.0f;
-          switch (mode) {
-            case BmmMode::NN:
-            case BmmMode::NT:
-              av = A[i * k + kk];
-              break;
-            case BmmMode::TN:
-              av = A[kk * m + i];
-              break;
-          }
-          float* orow = O + i * n;
-          if (mode == BmmMode::NT) {
-            // B is (n, k): column kk of B^T is strided.
-            for (std::int64_t j = 0; j < n; ++j) orow[j] += av * B[j * k + kk];
-          } else {
-            const float* brow = B + kk * n;
-            for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-          }
+          const float av = mode == BmmMode::TN ? A[kk * m + i] : A[i * k + kk];
+          const float* brow = B + kk * n;
+          for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
         }
       }
     }
@@ -525,10 +527,53 @@ Tensor naive_softmax_backward(const Tensor& y, const Tensor& dy) {
 }
 
 namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-// A tanh costs about this many simple elementwise ops (the parallel grain).
-constexpr std::int64_t kGeluWork = 8;
+
+/// e^x for x clamped to [-87, 87], where e^x and 1 / (1 + e^x) are both
+/// normal floats. Branch-free, so the `omp simd` loops below vectorize it
+/// where a libm call per element would not. x = n ln2 + r with
+/// |r| <= ln2 / 2; e^r is Cephes' degree-6 polynomial and 2^n goes straight
+/// into the exponent bits. Relative error is a few ulp; NaN stays NaN.
+inline float exp_clamped(float x) {
+  constexpr float kRound = 12582912.0f;  // 1.5 * 2^23: adding it rounds to int
+  constexpr std::uint32_t kRoundBits = 0x4B400000u;
+  x = std::min(std::max(x, -87.0f), 87.0f);
+  const float t = x * 1.44269504088896341f + kRound;  // low bits hold n
+  const float n = t - kRound;
+  // ln2 in two parts; the first has 10 significant bits, so n * it is exact.
+  const float r = (x - n * 0.693359375f) + n * 2.12194440e-4f;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * r * r + r + 1.0f;
+  const std::uint32_t scale =
+      (std::bit_cast<std::uint32_t>(t) - kRoundBits + 127u) << 23;
+  return p * std::bit_cast<float>(scale);
 }
+
+// tanh-form GELU: gelu(v) = 0.5 v (1 + tanh(u)), u = kGeluC (v + 0.044715 v^3).
+// With 0.5 (1 + tanh(u)) = s = 1 / (1 + e) and e = e^(-2u) it is v * s, and
+// its derivative 0.5 (1 + t) + 0.5 v (1 - t^2) u' is s + 2 v u' s (e s), since
+// 1 - t^2 = 4 s (1 - s) and 1 - s = e s (no cancellation as s -> 1).
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+// Past |v| = kGeluTail, e^(-2|u|) < 1e-28: GELU is v or -0 and its slope 1
+// or 0 to float precision. The selects pin that exactly, so +-inf give the
+// limits (gelu(-inf) = -0, not -inf * 0) and no output ever depends on where
+// exp_clamped saturates.
+constexpr float kGeluTail = 9.0f;
+// One element costs about as much as this many simple elementwise ops (the
+// parallel grain): ~1.0 ns forward and ~1.3 ns backward against ~0.25 ns for
+// `add`, on one AVX-512 core with 32 K elements per call.
+constexpr std::int64_t kGeluWork = 4;
+
+/// e = e^(-2u) at v.
+inline float gelu_e(float v) {
+  return exp_clamped(-2.0f * kGeluC * (v + 0.044715f * v * v * v));
+}
+
+}  // namespace
 
 Tensor gelu(const Tensor& x) {
   Tensor out(x.shape());
@@ -536,10 +581,11 @@ Tensor gelu(const Tensor& x) {
   float* po = out.data().data();
   parallel_for(x.numel(), grain_for(kGeluWork),
                [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
     for (std::int64_t i = lo; i < hi; ++i) {
       const float v = px[i];
-      po[i] =
-          0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
+      const float s = 1.0f / (1.0f + gelu_e(v));
+      po[i] = v < -kGeluTail ? -0.0f : v * s;
     }
   });
   return out;
@@ -553,12 +599,15 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   float* pdx = dx.data().data();
   parallel_for(x.numel(), grain_for(kGeluWork),
                [&](std::int64_t lo, std::int64_t hi) {
+#pragma omp simd
     for (std::int64_t i = lo; i < hi; ++i) {
       const float v = px[i];
-      const float u = kGeluC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(u);
+      const float e = gelu_e(v);
+      const float s = 1.0f / (1.0f + e);
       const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-      const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+      const float grad = v < -kGeluTail  ? 0.0f
+                         : v > kGeluTail ? 1.0f
+                                         : s + 2.0f * v * du * s * (e * s);
       pdx[i] = pdy[i] * grad;
     }
   });

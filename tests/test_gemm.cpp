@@ -22,12 +22,16 @@ struct Mnk {
   std::int64_t m, n, k;
 };
 
-// k=1 / n=1 / m=1 degenerate GEMVs, primes, and off-by-one tile edges
-// (MR=4, NR=16, MC=128, KC=256, NC=1024).
+// k=1 / n=1 / m=1 degenerate GEMVs, primes, off-by-one tile edges
+// (MR=8, NR=16, MC=128, KC=256, NC=1024: MR +-1 rows and NR +-1 columns, one
+// and two tiles deep), and the m=32 transformer-block shapes.
 const Mnk kShapes[] = {
-    {1, 1, 1},   {1, 7, 1},    {7, 1, 13},   {1, 1, 300},  {17, 19, 23},
-    {4, 16, 256}, {5, 17, 257}, {3, 15, 255}, {127, 31, 129}, {128, 16, 1},
-    {129, 1031, 257}, {64, 64, 64}, {251, 67, 509},
+    {1, 1, 1},       {1, 7, 1},       {7, 1, 13},     {1, 1, 300},
+    {17, 19, 23},    {8, 16, 256},    {9, 17, 257},   {7, 15, 255},
+    {16, 32, 64},    {17, 33, 65},    {15, 31, 63},   {4, 16, 256},
+    {5, 17, 257},    {3, 15, 255},    {127, 31, 129}, {128, 16, 1},
+    {129, 1031, 257}, {64, 64, 64},   {251, 67, 509}, {32, 128, 192},
+    {32, 256, 128},
 };
 
 t::Tensor rand_mat(std::int64_t r, std::int64_t c, std::uint64_t seed) {

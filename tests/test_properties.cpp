@@ -242,7 +242,9 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
   auto dy = t::randn(t::Shape{c.rows, c.out}, c.seed + 2);
   auto dx_ref = serial.backward(dy);
 
-  std::vector<bool> ok(static_cast<std::size_t>(c.p), false);
+  // One flag per rank, each written by its own rank thread: vector<char>,
+  // not vector<bool>, whose packed bits share words and lose updates.
+  std::vector<char> ok(static_cast<std::size_t>(c.p), 0);
   cluster.run([&](int g) {
     tp::Env env{&ctx, g};
     t::Tensor y, dx, y_expect, dx_expect;

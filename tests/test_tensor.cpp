@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 
 #include "collective/backend.hpp"
@@ -195,6 +196,28 @@ TEST(Matmul, BmmTransposedVariants) {
   EXPECT_LT(t::max_diff(ref, t::bmm_tn(at, b)), 1e-5f);
 }
 
+TEST(Matmul, BmmNtBitIdenticalToBmmOfTransposedB) {
+  // The attention-score shape (batch*heads, s, s) from (s, head_dim) rows:
+  // under the blocked cutoff, bmm_nt transposes each B and runs bmm's loop,
+  // so every output sums over k in the same order, bit for bit.
+  const std::int64_t batch = 8, m = 16, n = 16, k = 32;
+  auto a = t::randn(t::Shape{batch, m, k}, 32);
+  auto b = t::randn(t::Shape{batch, n, k}, 33);
+  t::Tensor bt(t::Shape{batch, k, n});
+  for (std::int64_t i = 0; i < batch; ++i) {
+    auto bit = t::transpose2d(
+        t::chunk(b, 0, batch, i).reshape(t::Shape{n, k}));
+    std::copy(bit.data().begin(), bit.data().end(),
+              bt.data().begin() + i * k * n);
+  }
+  const auto got = t::bmm_nt(a, b);
+  const auto want = t::bmm(a, bt);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        got.data().size() * sizeof(float)),
+            0);
+}
+
 TEST(Reduction, SumMeanMaxAbs) {
   t::Tensor a(t::Shape{4}, {1, -2, 3, -4});
   EXPECT_EQ(t::sum(a), -2.0f);
@@ -263,6 +286,75 @@ TEST(Grad, GeluMatchesFiniteDifference) {
                    [](const t::Tensor& x, const t::Tensor& dy) {
                      return t::gelu_backward(x, dy);
                    });
+}
+
+namespace {
+
+/// The tanh-form GELU and its derivative in double precision.
+double gelu_ref(double v) {
+  const double u = 0.7978845608028654 * (v + 0.044715 * v * v * v);
+  return 0.5 * v * (1.0 + std::tanh(u));
+}
+double gelu_grad_ref(double v) {
+  const double u = 0.7978845608028654 * (v + 0.044715 * v * v * v);
+  const double th = std::tanh(u);
+  const double du = 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * v * v);
+  return 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du;
+}
+
+}  // namespace
+
+TEST(Gelu, WithinBoundOfDoubleTanhReference) {
+  // A dense grid over [-20, 20]: both tails, where the clamped exp and the
+  // tail selects take over, and the curved middle. A max-abs bound, since
+  // the output passes through zero.
+  const std::int64_t n = 400001;
+  t::Tensor x(t::Shape{n});
+  for (std::int64_t i = 0; i < n; ++i)
+    x[i] = -20.0f + 40.0f * static_cast<float>(i) / static_cast<float>(n - 1);
+  const auto y = t::gelu(x);
+  const auto g = t::gelu_backward(x, t::ones(t::Shape{n}));
+  double fwd_err = 0.0, bwd_err = 0.0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    fwd_err = std::max(fwd_err, std::fabs(y[i] - gelu_ref(v)));
+    bwd_err = std::max(bwd_err, std::fabs(g[i] - gelu_grad_ref(v)));
+  }
+  EXPECT_LT(fwd_err, 1e-6);
+  EXPECT_LT(bwd_err, 1e-6);
+}
+
+TEST(Gelu, SpecialValues) {
+  // Each value at every position mod 7 of a 49-element tensor, so it meets
+  // the vector body and the remainder of the simd loop alike.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float in[7] = {0.0f, 100.0f, -100.0f, inf, -inf, nan, 1.0f};
+  t::Tensor x(t::Shape{49});
+  for (std::int64_t i = 0; i < 49; ++i) x[i] = in[(i + i / 7) % 7];
+  const auto y = t::gelu(x);
+  const auto g = t::gelu_backward(x, t::full(t::Shape{49}, 2.0f));
+  for (std::int64_t i = 0; i < 49; ++i) {
+    const float v = x[i];
+    SCOPED_TRACE("v = " + std::to_string(v));
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(y[i]));
+      EXPECT_TRUE(std::isnan(g[i]));
+    } else if (v == 1.0f) {
+      EXPECT_NEAR(y[i], gelu_ref(1.0), 1e-6);
+      EXPECT_NEAR(g[i], 2.0 * gelu_grad_ref(1.0), 2e-6);
+    } else if (v > 0.0f) {  // 100 and +inf: the identity, slope 1
+      EXPECT_EQ(y[i], v);
+      EXPECT_EQ(g[i], 2.0f);
+    } else if (v < 0.0f) {  // -100 and -inf: the limit -0, slope 0
+      EXPECT_EQ(y[i], 0.0f);
+      EXPECT_TRUE(std::signbit(y[i]));
+      EXPECT_EQ(g[i], 0.0f);
+    } else {  // 0: GELU(0) = 0 with slope 1/2
+      EXPECT_EQ(y[i], 0.0f);
+      EXPECT_EQ(g[i], 1.0f);
+    }
+  }
 }
 
 TEST(Grad, ReluMatchesFiniteDifference) {
